@@ -4,7 +4,18 @@ Functions are zero-extended to the whole line.  The centered maximal
 operator of a step function is computed exactly: between consecutive
 candidate radii |x - b| (b a breakpoint) the sliding average is
 c/(2r) + m/2, monotone in r, so the supremum over all radii is attained
-either at a candidate radius or in the r -> 0 limit.
+either at a candidate radius or in the r -> 0 limit.  Each candidate
+interval [x - r, x + r] with r = |x - b| has the breakpoint b itself as
+one end, so its average is |F(b) - F(2x - b)| / (2r) with F the primitive
+of |f|: one interpolation per (point, breakpoint) pair.
+
+The maximal operator and convolution_values walk their evaluation points
+in blocks of max(1, _BLOCK // len(breakpoints)) points, so no temporary
+holds more than _BLOCK = 2**14 float64 values (128 KiB) unless a single
+point already needs more, and memory does not grow with points x
+breakpoints.  The budget stays at glibc's default mmap threshold: larger
+temporaries are served from freshly mapped pages that fault on every
+call, which made a 512 KiB budget slower per call than this one.
 
 Mollifier kernels phi are scaled as phi_t(x) = phi(x/t)/t.  Convolutions
 phi_t * f are assembled from the kernel's exact antiderivative: the result
@@ -53,6 +64,7 @@ __all__ = [
 _KERNEL_KINDS = ("box", "triangle", "smooth_bump", "custom_step")
 _BUMP_PANELS = 8192  # cumulative Simpson panels for the bump's tables
 _BUMP_SAMPLES = 2048  # default sampling cells for bump convolutions
+_BLOCK = 2**14  # float64 values per temporary in the pairwise operators (128 KiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,6 +308,13 @@ def is_potential_type(phi: Kernel) -> PotentialType:
 # -- centered maximal operator ---------------------------------------------
 
 
+def _point_blocks(n_points: int, width: int):
+    """Slices of at most max(1, _BLOCK // width) consecutive points."""
+    step = max(1, _BLOCK // width)
+    for start in range(0, n_points, step):
+        yield slice(start, start + step)
+
+
 class MaximalFunction:
     """Exact centered Hardy-Littlewood maximal function of |f|.
 
@@ -303,6 +322,13 @@ class MaximalFunction:
     cell-averaged step representations for norm evaluation.  Radii beyond
     the outermost candidate |x - b| give averages total/(2r), strictly
     decreasing, so restricting the sup to r <= 2 loses nothing on (0, 1).
+
+    Each candidate radius r = |x - b_j| puts the breakpoint b_j at one end
+    of [x - r, x + r], so the average there is |cum[j] - F(2x - b_j)| / (2r)
+    and costs one np.interp.  Points are taken in blocks laid out as
+    breakpoints x points (each row of queries ascends for sorted x), with at
+    most 2**14 float64 values (128 KiB) per temporary: larger blocks come
+    from freshly mapped pages on every call and were measured slower.
     """
 
     def __init__(self, f: StepFunction):
@@ -323,12 +349,15 @@ class MaximalFunction:
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa).astype(float)
-        r = np.abs(xa[:, None] - self._bk[None, :])
-        hi = np.interp(xa[:, None] + r, self._bk, self._cum)
-        lo = np.interp(xa[:, None] - r, self._bk, self._cum)
+        bk, cum = self._bk[:, None], self._cum[:, None]
+        best = np.empty(len(xa))
         with np.errstate(divide="ignore", invalid="ignore"):
-            avgs = np.where(r > 0.0, (hi - lo) / (2.0 * r), 0.0)
-        best = avgs.max(axis=1)
+            for blk in _point_blocks(len(xa), len(bk)):
+                xb = xa[None, blk]
+                far = np.interp(2.0 * xb - bk, self._bk, self._cum)
+                width = 2.0 * np.abs(xb - bk)
+                avgs = np.where(width > 0.0, np.abs(cum - far) / width, 0.0)
+                best[blk] = avgs.max(axis=0)
         left, right = self._sided_values(xa)
         out = np.maximum(best, 0.5 * (left + right))
         return float(out[0]) if scalar else out
@@ -365,8 +394,12 @@ def convolution_values(phi_t: ScaledKernel, f: StepFunction, x) -> np.ndarray:
     """(phi_t * f)(x) via the kernel antiderivative: exact for box,
     triangle, and custom step kernels; table-backed for the smooth bump."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    cdfs = phi_t.cdf(xa[:, None] - f.breakpoints[None, :])
-    return (cdfs[:, :-1] - cdfs[:, 1:]) @ f.values
+    bk = f.breakpoints
+    out = np.empty(len(xa))
+    for blk in _point_blocks(len(xa), len(bk)):
+        cdfs = phi_t.cdf(xa[blk, None] - bk[None, :])
+        out[blk] = (cdfs[:, :-1] - cdfs[:, 1:]) @ f.values
+    return out
 
 
 @dataclass(eq=False)

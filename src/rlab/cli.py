@@ -4,7 +4,7 @@ Verbs: norm, rearrange, maximal, embed-check, embed-probe, mollify-sweep,
 eps-profile.  Inputs are JSON (inline or file paths); outputs are JSON or
 CSV with '.' decimals and 17-significant-digit floats, deterministic for a
 fixed command line and seed.  Exit codes: 0 success, 1 validation error,
-2 computation error (e.g. quadrature non-convergence).
+2 computation error (e.g. quadrature non-convergence or overflow).
 
 The eps-grid size defaults to 2048, overridden by the RLAB_GRID
 environment variable and then by --grid; CSV outputs record it in a
@@ -301,6 +301,9 @@ def run(argv=None) -> int:
         return args.handler(args)
     except QuadratureError as exc:
         sys.stderr.write(f"computation error: {exc}\n")
+        return 2
+    except ArithmeticError as exc:
+        sys.stderr.write(f"computation error: {type(exc).__name__}: {exc}\n")
         return 2
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import random_step_function
 from .norms import (SpaceSpec, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
-from .quadrature import integrate_adaptive
+from .quadrature import QuadratureError, integrate_adaptive
 from .stepfn import MeasureDensity, StepFunction, characteristic, merge_segment_grids, step_to_json
 from .weights import PowerWeight, Weight, WeightPrimitive, w_primitive
 
@@ -171,8 +171,10 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
         (int_0^upper (W(t)/V(t))^((r-eps)/(p-eps)) w(t) dt)^(1/(r-eps))
 
     by adaptive quadrature on the weight segments; holds iff every value is
-    finite.  upper defaults to 1 (the ambient interval); larger values
-    extend both weights beyond 1 by their density at 1.
+    finite.  A segment whose quadrature estimate turns non-finite counts
+    as a divergent integral: the scan stops at that eps and reports it
+    with value inf.  upper defaults to 1 (the ambient interval); larger
+    values extend both weights beyond 1 by their density at 1.
     """
     q, p = _ordered_pair(q, p, "q", "p", strict=True)
     r = p * q / (p - q)
@@ -186,16 +188,25 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     knots = knots[(knots >= 0.0) & (knots <= upper)]
     eps = eps_grid(q - 1.0, grid_size)
     values = np.empty(len(eps))
-    for k, e in enumerate(eps):
-        beta = (r - e) / (p - e)
+    # a divergent integrand overflows near its singularity; that is
+    # reported below as value inf, not as floating-point warnings
+    with np.errstate(all="ignore"):
+        for k, e in enumerate(eps):
+            beta = (r - e) / (p - e)
 
-        def integrand(t, beta=beta):
-            return (ew.primitive(t) / ev.primitive(t)) ** beta * ew.density(t)
+            def integrand(t, beta=beta):
+                return (ew.primitive(t) / ev.primitive(t)) ** beta * ew.density(t)
 
-        total = 0.0
-        for a, b in zip(knots[:-1], knots[1:]):
-            total += integrate_adaptive(integrand, a, b, rel_tol=rel_tol).value
-        values[k] = total ** (1.0 / (r - e))
+            total = 0.0
+            try:
+                for a, b in zip(knots[:-1], knots[1:]):
+                    total += integrate_adaptive(integrand, a, b, rel_tol=rel_tol).value
+            except QuadratureError as exc:
+                if math.isfinite(exc.value):
+                    raise
+                return EmbeddingVerdict(condition_value=math.inf, holds=False,
+                                        witness=f"eps={e:.17g}")
+            values[k] = total ** (1.0 / (r - e))
     i = int(np.argmax(values))
     value = float(values[i])
     return EmbeddingVerdict(

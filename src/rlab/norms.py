@@ -204,6 +204,17 @@ def _check_q(q, lower=0.0):
 # -- scalar norms -------------------------------------------------------
 
 
+def _scaled_power_sum(values: np.ndarray, base: np.ndarray, s: float) -> float:
+    """(sum values**s * base)**(1/s) for nonnegative values, not all zero.
+
+    The top level is factored out (the expression is 1-homogeneous in
+    values), so levels whose s-th power would overflow or underflow still
+    give the finite, nonzero result.
+    """
+    top = float(np.max(values))
+    return top * float(np.sum((values / top) ** s * base) ** (1.0 / s))
+
+
 def lorentz_pq_norm(f: StepFunction, p: float, q: float,
                     mu: Optional[MeasureDensity] = None) -> float:
     """Lorentz norm ((q/p) * int_0^inf t^{q/p-1} f*(t)^q dt)^{1/q};
@@ -219,7 +230,7 @@ def lorentz_pq_norm(f: StepFunction, p: float, q: float,
         # the right endpoint
         return float(np.max(vals * bk[1:] ** (1.0 / p)))
     base = np.diff(bk ** (q / p))
-    return float(np.sum(vals**q * base) ** (1.0 / q))
+    return _scaled_power_sum(vals, base, q)
 
 
 def _tail_integral(t_lo: float, t_hi: float, beta: float) -> float:
@@ -277,7 +288,7 @@ def lambda_norm(f: StepFunction, p: float, weight: Weight,
         return 0.0
     bk, vals = fstar.segments(1.0)
     base = segment_weight_integrals(weight, bk)
-    return float(np.sum(vals**p * base) ** (1.0 / p))
+    return _scaled_power_sum(vals, base, p)
 
 
 # -- grand norms ----------------------------------------------------------

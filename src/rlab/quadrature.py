@@ -8,6 +8,7 @@ callables stay fast.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ _GW[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))      # Gauss weights on shar
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the interval budget is exhausted before convergence."""
+    """Raised when the interval budget is exhausted before convergence, or
+    as soon as the running value or error estimate is not finite."""
 
     def __init__(self, message: str, value: float, achieved: float, requested: float):
         super().__init__(f"{message} (achieved {achieved:.3e}, requested {requested:.3e})")
@@ -84,7 +86,9 @@ def integrate_adaptive(fn, a: float, b: float, rel_tol: float = 1e-10,
 
     fn must accept a 1-d array of points and return values elementwise.
     The accepted error is max(rel_tol * |integral|, abs_floor).  Raises
-    QuadratureError if max_intervals bisections are not enough.
+    QuadratureError if max_intervals bisections are not enough, or once
+    the running value or error estimate is not finite (no interval could
+    then be chosen to split).
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -96,6 +100,9 @@ def integrate_adaptive(fn, a: float, b: float, rel_tol: float = 1e-10,
         total = float(vals.sum())
         err_total = float(errs.sum())
         budget = max(rel_tol * abs(total), abs_floor)
+        if not (math.isfinite(total) and math.isfinite(err_total)):
+            raise QuadratureError("quadrature estimate is not finite",
+                                  total, err_total, budget)
         if err_total <= budget:
             return QuadratureResult(total, err_total, n_evals, len(vals))
         if len(vals) >= max_intervals:

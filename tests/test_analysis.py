@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rlab import (PiecewisePoly, SpaceSpec, box_kernel, bump_kernel,
                   integrate_adaptive, is_potential_type, kernel_from_json,
                   kernel_to_json, make_step, maximal, radial_majorant,
                   step_approximate, triangle_kernel)
+from rlab import analysis
 from rlab.analysis import Kernel, ScaledKernel
 from rlab.weights import PowerWeight
 
@@ -382,3 +384,125 @@ def test_kernel_json_round_trip():
     assert parsed.kind == "box" and parsed.half_width == 0.5
     with pytest.raises(ValueError):
         kernel_from_json({"half_width": 0.5})
+
+
+# ---------------------------------------------------------------- blocked evaluation
+
+def _dense_maximal(f, x):
+    """The unblocked formula: every (point, breakpoint) pair in one array,
+    both ends of each window interpolated, plus the r -> 0 limit."""
+    bk, av = f.breakpoints, np.abs(f.values)
+    cum = np.concatenate(([0.0], np.cumsum(av * np.diff(bk))))
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    r = np.abs(xa[:, None] - bk[None, :])
+    hi = np.interp(xa[:, None] + r, bk, cum)
+    lo = np.interp(xa[:, None] - r, bk, cum)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best = np.where(r > 0.0, (hi - lo) / (2.0 * r), 0.0).max(axis=1)
+    ir = np.clip(np.searchsorted(bk, xa, side="right") - 1, 0, len(av) - 1)
+    right = np.where((xa < 0.0) | (xa >= 1.0), 0.0, av[ir])
+    il = np.clip(np.searchsorted(bk, xa, side="left") - 1, 0, len(av) - 1)
+    left = np.where((xa <= 0.0) | (xa > 1.0), 0.0, av[il])
+    return np.maximum(best, 0.5 * (left + right))
+
+
+def _dense_convolution(phi_t, f, x):
+    cdfs = phi_t.cdf(np.asarray(x, dtype=float)[:, None] - f.breakpoints[None, :])
+    return (cdfs[:, :-1] - cdfs[:, 1:]) @ f.values
+
+
+def _signed_fn(rng, n):
+    bk = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+    return make_step(bk, rng.normal(size=n))
+
+
+def _eval_points(rng, f, n_random):
+    """Random points inside and outside (0, 1), 30 breakpoints including
+    both ends of the support, and two points far outside."""
+    bk = f.breakpoints
+    on = bk[np.linspace(0, len(bk) - 1, 30).astype(int)]
+    return np.concatenate((rng.uniform(-0.5, 1.5, n_random), on, [-1.0, 2.5]))
+
+
+def _points_per_block(f):
+    return max(1, analysis._BLOCK // len(f.breakpoints))
+
+
+def test_blocked_maximal_matches_dense_formula():
+    rng = np.random.default_rng(61)
+    f = _signed_fn(rng, 99)
+    x = _eval_points(rng, f, 997)
+    assert 1 < _points_per_block(f) < len(x)
+    assert len(x) % _points_per_block(f) != 0
+    want = _dense_maximal(f, x)
+    assert np.all(np.abs(maximal(f)(x) - want) <= 1e-13 * want)
+
+
+def test_blocked_maximal_matches_brute_oracle():
+    rng = np.random.default_rng(67)
+    f = _signed_fn(rng, 99)
+    x = _eval_points(rng, f, 40)
+    brute = np.empty(len(x))
+    for i, xi in enumerate(x):
+        # each point's own candidate radii make the oracle exact there
+        radii = np.abs(xi - f.breakpoints)
+        brute[i] = brute_maximal(f.breakpoints, f.values, xi, radii[radii > 0])[0]
+    got = maximal(f)(x)
+    assert np.all(np.abs(got - brute) <= 1e-12 * brute)
+
+
+def test_blocked_maximal_one_point_per_block():
+    rng = np.random.default_rng(71)
+    f = _signed_fn(rng, analysis._BLOCK + 9)
+    assert _points_per_block(f) == 1
+    x = _eval_points(rng, f, 20)
+    M = maximal(f)
+    want = _dense_maximal(f, x)
+    assert np.all(np.abs(M(x) - want) <= 1e-13 * want)
+    for i in (0, 25):  # a random point and a breakpoint, as scalars
+        scalar = M(float(x[i]))
+        assert isinstance(scalar, float)
+        assert abs(scalar - want[i]) <= 1e-13 * want[i]
+
+
+def test_blocked_cell_average_step_matches_dense_formula():
+    rng = np.random.default_rng(73)
+    f = _signed_fn(rng, 30)
+    step = maximal(f).cell_average_step(300)
+    edges = np.linspace(0.0, 1.0, 301)
+    pts = edges[:-1, None] + (1.0 / 300) * np.linspace(0.0, 1.0, 9)[None, :]
+    vals = _dense_maximal(f, pts.ravel()).reshape(300, 9)
+    w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0])
+    want = (vals @ w) / 24.0
+    assert np.all(np.abs(step(0.5 * (edges[:-1] + edges[1:])) - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("n", [99, analysis._BLOCK + 9], ids=["many", "one"])
+def test_blocked_convolution_matches_dense_formula(n):
+    rng = np.random.default_rng(79 + n)
+    f = _signed_fn(rng, n)
+    x = _eval_points(rng, f, 997 if n < 1000 else 20)
+    absf = make_step(f.breakpoints, np.abs(f.values))
+    kernels = (box_kernel(), triangle_kernel(), bump_kernel(),
+               custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5]))
+    for k in kernels:
+        phi = k.scaled(0.03)
+        got = convolution_values(phi, f, x)
+        # the sums carry signed terms: bound the rounding by phi_t * |f|
+        scale = _dense_convolution(phi, absf, x)
+        assert np.all(np.abs(got - _dense_convolution(phi, f, x)) <= 1e-13 * scale)
+
+
+def test_blocked_operators_memory_stays_bounded():
+    rng = np.random.default_rng(83)
+    f = _signed_fn(rng, 1000)
+    runs = (lambda: maximal(f).cell_average_step(4096),
+            lambda: convolve(triangle_kernel().scaled(0.01), f))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +279,37 @@ def test_exit_code_on_unknown_verb(capsys):
 def test_exit_code_on_missing_required_flag(capsys):
     assert run(["norm", "--fn", CHI_JSON]) == 1
     capsys.readouterr()
+
+
+# one segment per level 1..100: the f** integrand a**q overflows at q = 400
+STEEP_JSON = json.dumps({"breakpoints": np.linspace(0.0, 1.0, 101).tolist(),
+                         "values": np.arange(1.0, 101.0).tolist()})
+STAR_Q400 = '{"kind": "lorentz_pq_star", "p": 2, "q": 400}'
+
+
+def test_exit_code_on_overflow(capsys):
+    code, out, err = _run(capsys, ["norm", "--spec", STAR_Q400, "--fn", STEEP_JSON])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("computation error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--spec", L22, "--fn", CHI_JSON],
+    ["norm", "--spec", STAR_Q400, "--fn", STEEP_JSON],
+], ids=["ok", "overflow"])
+def test_python_dash_m_matches_in_process_run(argv, capsys):
+    code, out, err = _run(capsys, argv)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == out
+    assert (proc.stderr == "") == (err == "")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("rlab") is None,

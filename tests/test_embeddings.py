@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rlab import (MeasureDensity, SpaceSpec, atom_bound, characteristic,
-                  cross_weight_check, domination_constant,
+from rlab import (MeasureDensity, QuadratureError, SpaceSpec, atom_bound,
+                  characteristic, cross_weight_check, domination_constant,
                   domination_slice_check, downward_check, empirical_constant,
-                  grand_lorentz_pq_norm, make_step, mutual_ac,
+                  eps_grid, grand_lorentz_pq_norm, make_step, mutual_ac,
                   shrinking_probe, wholds_check)
+from rlab import embeddings
 from rlab.stepfn import pointwise
 from rlab.weights import PowerWeight
 
@@ -100,6 +101,24 @@ def test_downward_step_weights_and_upper_extension():
     wide = downward_check(3.0, 1.5, w, v, upper=2.0)
     assert base.holds and wide.holds
     assert wide.condition_value > base.condition_value
+
+
+def test_downward_divergent_pair_reports_inf(deadline):
+    # r = 4 and W/V = 2 t^(-1/2) make the integrand 2/t at every eps
+    with deadline(20):
+        out = downward_check(4.0, 2.0, PowerWeight(-0.5), ONE)
+    assert not out.holds
+    assert out.condition_value == math.inf
+    assert out.witness == f"eps={eps_grid(1.0)[0]:.17g}"
+
+
+def test_downward_propagates_finite_quadrature_failure(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise QuadratureError("interval budget exhausted", 0.5, 1e-3, 1e-10)
+
+    monkeypatch.setattr(embeddings, "integrate_adaptive", exhausted)
+    with pytest.raises(QuadratureError):
+        downward_check(3.0, 2.0, ONE, ONE)
 
 
 def test_downward_validation():

@@ -1,14 +1,16 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlab import (MeasureDensity, SpaceSpec, characteristic, eps_grid,
                   eps_profile, grand_lambda_norm, grand_lebesgue_norm,
                   grand_lorentz_pq_norm, grand_lorentz_slice_values,
-                  lorentz_pq_norm, lorentz_pq_star_norm, make_step,
-                  norm_value, space_norm, spacespec_from_json,
+                  lambda_norm, lorentz_pq_norm, lorentz_pq_star_norm,
+                  make_step, norm_value, space_norm, spacespec_from_json,
                   spacespec_to_json)
 from rlab.norms import EpsSupResult
 from rlab.weights import PowerWeight
@@ -296,3 +298,69 @@ def test_grand_norm_grid_size_override():
     fine = grand_lorentz_pq_norm(f, 2.0, 2.0, grid_size=4096)
     assert coarse.eps.size == 64 and fine.eps.size == 4096
     assert coarse.value == pytest.approx(fine.value, rel=1e-8)
+
+
+# ---------------------------------------------------------------- scale safety
+
+def _mp_power_sum(levels, bases, s):
+    """(sum levels**s * bases)**(1/s) in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        total = mpmath.fsum(mpmath.mpf(v) ** s * b for v, b in zip(levels, bases))
+        return total ** (1 / mpmath.mpf(s))
+
+
+def _mp_diff_pow(bk, e):
+    with mpmath.workdps(60):
+        return [mpmath.mpf(b) ** e - mpmath.mpf(a) ** e for a, b in zip(bk[:-1], bk[1:])]
+
+
+@pytest.mark.parametrize("levels,p,q", [
+    ([1e3, 1e-3], 2.0, 120.0),        # powers overflow without factoring
+    ([3e-200, 1e-200], 2.0, 3.0),     # powers underflow to 0.0
+    ([1e250, 1e-250], 1.5, 4.0),
+])
+def test_lorentz_pq_norm_extreme_levels_match_mpmath(levels, p, q):
+    bk = np.linspace(0.0, 1.0, len(levels) + 1)  # levels already nonincreasing
+    got = lorentz_pq_norm(make_step(bk, levels), p, q)
+    with mpmath.workdps(60):
+        want = _mp_power_sum(levels, _mp_diff_pow(bk, mpmath.mpf(q) / p), q)
+    assert math.isfinite(got) and got > 0.0
+    assert got == pytest.approx(float(want), rel=1e-13)
+
+
+def test_lorentz_pq_norm_example_value():
+    f = make_step([0.0, 0.5, 1.0], [1e3, 1e-3])
+    assert lorentz_pq_norm(f, 2.0, 120.0) == pytest.approx(1e3 * math.sqrt(0.5), rel=1e-13)
+
+
+def test_lambda_norm_extreme_levels_match_mpmath():
+    bk = [0.0, 0.25, 0.5, 1.0]
+    levels = [4e-200, 1e-201, 2e-250]
+    step_w = make_step(bk, [3.0, 1.0, 2.0])
+    cases = [
+        (PowerWeight(0.5), 150.0, [1e3, 1e-3, 1e-3],
+         [(b ** 1.5 - a ** 1.5) / 1.5 for a, b in zip(bk[:-1], bk[1:])]),
+        (step_w, 2.0, levels, [w * (b - a) for w, a, b in zip([3, 1, 2], bk[:-1], bk[1:])]),
+    ]
+    for weight, p, vals, bases in cases:
+        got = lambda_norm(make_step(bk, vals), p, weight)
+        want = _mp_power_sum(vals, bases, p)
+        assert math.isfinite(got) and got > 0.0
+        assert got == pytest.approx(float(want), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_levels=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+       widths=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+       log_c=st.floats(-200.0, 200.0),
+       p=st.floats(0.5, 8.0), q=st.floats(0.5, 150.0))
+def test_exact_norms_are_homogeneous(log_levels, widths, log_c, p, q):
+    n = len(log_levels)
+    bk = np.concatenate(([0.0], np.cumsum(widths[:n]) / np.sum(widths[:n])))
+    bk[-1] = 1.0
+    vals = 10.0 ** np.array(log_levels)
+    c = 10.0 ** log_c
+    f, g = make_step(bk, vals), make_step(bk, c * vals)
+    assert lorentz_pq_norm(g, p, q) == pytest.approx(c * lorentz_pq_norm(f, p, q), rel=1e-12)
+    w = PowerWeight(0.5)
+    assert lambda_norm(g, p, w) == pytest.approx(c * lambda_norm(f, p, w), rel=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rlab import QuadratureError, integrate_adaptive
+from rlab.quadrature import _panels
 
 
 def test_polynomial_is_exact_on_a_single_panel():
@@ -83,3 +84,34 @@ def test_tightening_tolerance_does_not_worsen_result():
     want = 2.0 / 3.0
     assert abs(tight.value - want) <= abs(loose.value - want) + 1e-15
     assert tight.n_intervals >= loose.n_intervals
+
+
+def test_panels_carry_nan_through():
+    kron, err = _panels(lambda x: np.full_like(x, np.nan),
+                        np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    assert np.all(np.isnan(kron)) and np.all(np.isnan(err))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_estimate_raises_at_once(bad, deadline):
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        out = np.ones_like(x)
+        out[len(x) // 2] = bad
+        return out
+
+    with deadline(10), np.errstate(invalid="ignore"):
+        with pytest.raises(QuadratureError) as info:
+            integrate_adaptive(fn, 0.0, 1.0)
+    assert calls == [15]
+    assert not (np.isfinite(info.value.value) and np.isfinite(info.value.achieved))
+
+
+def test_divergent_integrand_raises_instead_of_hanging(deadline):
+    # the error estimate of 1/x is scale-invariant, so the interval at 0 is
+    # halved until its nodes reach 0 and the estimate turns non-finite
+    with deadline(20), np.errstate(all="ignore"):
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0)
