@@ -15,7 +15,7 @@ from .rearrange import (AverageFunction, DistributionFunction, Rearrangement,
                         average, distribution, measure_gap, rearrangement)
 from .weights import (PowerWeight, Weight, WeightPrimitive, w_primitive,
                       weight_from_json, weight_to_json)
-from .quadrature import QuadratureError, QuadratureResult, integrate_adaptive
+from .quadrature import QuadratureError, QuadratureResult, integrate_adaptive, integrate_batch
 from .norms import (DEFAULT_GRID, EpsSupResult, SpaceSpec, eps_grid,
                     eps_profile, grand_lambda_norm, grand_lebesgue_norm,
                     grand_lorentz_pq_norm, grand_lambda_slice_values,
@@ -48,7 +48,7 @@ __all__ = [
     "distribution", "measure_gap", "rearrangement",
     "PowerWeight", "Weight", "WeightPrimitive", "w_primitive",
     "weight_from_json", "weight_to_json",
-    "QuadratureError", "QuadratureResult", "integrate_adaptive",
+    "QuadratureError", "QuadratureResult", "integrate_adaptive", "integrate_batch",
     "DEFAULT_GRID", "EpsSupResult", "SpaceSpec", "eps_grid", "eps_profile",
     "grand_lambda_norm", "grand_lebesgue_norm", "grand_lorentz_pq_norm",
     "grand_lambda_slice_values", "grand_lorentz_slice_values", "lambda_norm",

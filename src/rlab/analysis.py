@@ -347,6 +347,8 @@ class MaximalFunction:
 
     def __call__(self, x):
         xa = np.asarray(x, dtype=float)
+        if xa.ndim > 1:
+            raise ValueError(f"points must be a scalar or a 1-d array, got shape {xa.shape}")
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa).astype(float)
         bk, cum = self._bk[:, None], self._cum[:, None]
@@ -393,6 +395,8 @@ def maximal(f: StepFunction) -> MaximalFunction:
 def convolution_values(phi_t: ScaledKernel, f: StepFunction, x) -> np.ndarray:
     """(phi_t * f)(x) via the kernel antiderivative: exact for box,
     triangle, and custom step kernels; table-backed for the smooth bump."""
+    if np.ndim(x) > 1:
+        raise ValueError(f"points must be a scalar or a 1-d array, got shape {np.shape(x)}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     bk = f.breakpoints
     out = np.empty(len(xa))

@@ -312,3 +312,7 @@ def run(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

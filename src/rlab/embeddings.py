@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import random_step_function
 from .norms import (SpaceSpec, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
-from .quadrature import QuadratureError, integrate_adaptive
+from .quadrature import QuadratureError, integrate_batch
 from .stepfn import MeasureDensity, StepFunction, characteristic, merge_segment_grids, step_to_json
 from .weights import PowerWeight, Weight, WeightPrimitive, w_primitive
 
@@ -128,22 +128,23 @@ def cross_weight_check(p: float, q: float, w: Weight, v: Weight,
 
 class _ExtendedWeight:
     """Weight with density and primitive on (0, upper]; beyond t = 1 the
-    density continues with its value at 1 (constant extension)."""
+    density continues with its value at 1 (constant extension).  Up to its
+    first interior breakpoint the density is c0 * t^alpha."""
 
     def __init__(self, w: Weight):
         self.weight = w
         self.prim = w_primitive(w)
         self.w1 = self.prim.at_one
         if isinstance(w, PowerWeight):
-            self.last = w.coeff
+            self.last = self.c0 = w.coeff
+            self.alpha = w.alpha
             self.interior = np.empty(0)
-            self.positive_near_zero = w.coeff > 0
         else:
             step = w.density if isinstance(w, MeasureDensity) else w
             self._step = step
             self.last = float(step.values[-1])
+            self.c0, self.alpha = float(step.values[0]), 0.0
             self.interior = step.breakpoints[1:-1].copy()
-            self.positive_near_zero = step.values[0] > 0
 
     def density(self, t: np.ndarray) -> np.ndarray:
         ta = np.asarray(t, dtype=float)
@@ -170,43 +171,56 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
 
         (int_0^upper (W(t)/V(t))^((r-eps)/(p-eps)) w(t) dt)^(1/(r-eps))
 
-    by adaptive quadrature on the weight segments; holds iff every value is
-    finite.  A segment whose quadrature estimate turns non-finite counts
-    as a divergent integral: the scan stops at that eps and reports it
-    with value inf.  upper defaults to 1 (the ambient interval); larger
-    values extend both weights beyond 1 by their density at 1.
+    holds iff every value is finite.  On the first knot interval (0, k1]
+    both weights are c * t^alpha, so the integrand is a pure power
+    K^beta c_w t^gamma, integrated in closed form; it diverges exactly when
+    c_w > 0 and gamma <= -1, and the first such eps is reported with value
+    inf.  The bounded integrands on the other knot intervals, for every
+    eps below that one, go through one integrate_batch call at rel_tol; a
+    non-finite estimate there also counts as divergence at its eps.
+    upper defaults to 1 (the ambient interval); larger values extend both
+    weights beyond 1 by their density at 1.
     """
     q, p = _ordered_pair(q, p, "q", "p", strict=True)
     r = p * q / (p - q)
     if not (np.isfinite(upper) and upper >= 1.0):
         raise ValueError("upper must be >= 1")
     ew, ev = _ExtendedWeight(w), _ExtendedWeight(v)
-    if not ev.positive_near_zero:
+    if not ev.c0 > 0:
         raise ValueError("target weight primitive vanishes near 0")
     knots = np.unique(np.concatenate((
         [0.0, 1.0, upper], ew.interior, ev.interior)))
     knots = knots[(knots >= 0.0) & (knots <= upper)]
     eps = eps_grid(q - 1.0, grid_size)
-    values = np.empty(len(eps))
-    # a divergent integrand overflows near its singularity; that is
-    # reported below as value inf, not as floating-point warnings
-    with np.errstate(all="ignore"):
-        for k, e in enumerate(eps):
-            beta = (r - e) / (p - e)
+    beta = (r - eps) / (p - eps)
+    gamma = beta * (ew.alpha - ev.alpha) + ew.alpha
+    divergent = np.flatnonzero(gamma <= -1.0) if ew.c0 > 0.0 else []
+    n = int(divergent[0]) if len(divergent) else len(eps)
+    beta, gamma = beta[:n], gamma[:n]
+    ratio = (ew.c0 / (ew.alpha + 1.0)) / (ev.c0 / (ev.alpha + 1.0))  # W/V = ratio t^(aw-av)
+    # extreme weights may overflow; an infinite value then fails the check
+    with np.errstate(over="ignore"):
+        total = (np.zeros(n) if ew.c0 == 0.0 else
+                 ratio**beta * ew.c0 * knots[1] ** (gamma + 1.0) / (gamma + 1.0))
+        pieces = len(knots) - 2
+        powers = np.repeat(beta, pieces)
 
-            def integrand(t, beta=beta):
-                return (ew.primitive(t) / ev.primitive(t)) ** beta * ew.density(t)
+        def integrand(t, k):
+            return (ew.primitive(t) / ev.primitive(t)) ** powers[k] * ew.density(t)
 
-            total = 0.0
-            try:
-                for a, b in zip(knots[:-1], knots[1:]):
-                    total += integrate_adaptive(integrand, a, b, rel_tol=rel_tol).value
-            except QuadratureError as exc:
-                if math.isfinite(exc.value):
-                    raise
-                return EmbeddingVerdict(condition_value=math.inf, holds=False,
-                                        witness=f"eps={e:.17g}")
-            values[k] = total ** (1.0 / (r - e))
+        try:
+            res = integrate_batch(integrand, np.tile(knots[1:-1], n), np.tile(knots[2:], n),
+                                  rel_tol=rel_tol)
+        except QuadratureError as exc:
+            if math.isfinite(exc.value):
+                raise
+            n = exc.index // pieces
+        else:
+            total += res.value.reshape(n, pieces).sum(axis=1)
+        if n < len(eps):
+            return EmbeddingVerdict(condition_value=math.inf, holds=False,
+                                    witness=f"eps={eps[n]:.17g}")
+        values = total ** (1.0 / (r - eps))
     i = int(np.argmax(values))
     value = float(values[i])
     return EmbeddingVerdict(

@@ -4,16 +4,17 @@ A 7-point Gauss rule embedded in a 15-point Kronrod rule gives a per-interval
 error estimate; intervals whose estimate exceeds their share of the budget
 are bisected until the total estimate meets the requested tolerance.  The
 integrand is always evaluated on batched node arrays, so vector-aware
-callables stay fast.
+callables stay fast.  integrate_batch runs many independent problems through
+one such loop, each to its own budget; integrate_adaptive is its
+one-problem case.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadratureResult", "integrate_adaptive"]
+__all__ = ["QuadratureError", "QuadratureResult", "integrate_adaptive", "integrate_batch"]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric)
 _XK = np.array([
@@ -52,21 +53,30 @@ _GW[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))      # Gauss weights on shar
 
 class QuadratureError(RuntimeError):
     """Raised when the interval budget is exhausted before convergence, or
-    as soon as the running value or error estimate is not finite."""
+    as soon as the running value or error estimate is not finite.  index is
+    the failing problem of a batch (0 for integrate_adaptive)."""
 
     def __init__(self, message: str, value: float, achieved: float, requested: float):
         super().__init__(f"{message} (achieved {achieved:.3e}, requested {requested:.3e})")
         self.value = value
         self.achieved = achieved
         self.requested = requested
+        self.index = 0
 
 
 @dataclass
 class QuadratureResult:
+    """One integral (integrate_adaptive), or per-problem arrays of the same
+    fields (integrate_batch)."""
+
     value: float
     error_estimate: float
     n_evals: int
     n_intervals: int
+
+
+# problems refined together by integrate_batch; bounds its working arrays
+_GROUP = 1024
 
 
 def _panels(fn, a, b):
@@ -80,6 +90,84 @@ def _panels(fn, a, b):
     return kron, np.abs(kron - gauss)
 
 
+def integrate_batch(fn, a, b, rel_tol: float = 1e-10, abs_floor: float = 1e-14,
+                    max_intervals: int = 4096) -> QuadratureResult:
+    """Integrate m independent problems, problem k over (a[k], b[k]).
+
+    fn(t, k) gets flat node and problem-index arrays and returns the
+    values elementwise.  Each problem runs exactly as integrate_adaptive
+    would run it alone: its own budget max(rel_tol * |I_k|, abs_floor), its
+    own max_intervals, and the same bisection rule.  Problems are refined
+    in groups of _GROUP, in index order.  If any fail, QuadratureError is
+    raised for the lowest failing index (exc.index), once every problem
+    below it has converged.  Returns a QuadratureResult of arrays.
+    """
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    if a.shape != b.shape or not np.all(b > a):
+        raise ValueError("need b > a, one upper limit per lower limit")
+    value, error = np.empty(len(a)), np.empty(len(a))
+    n_intervals = np.zeros(len(a), dtype=int)
+
+    def panels(ids, lo, hi):
+        return _panels(lambda t: fn(t, np.repeat(ids, 15)), lo, hi)
+
+    for start in range(0, len(a), _GROUP):
+        # the live intervals and their problems (own, 0..n-1 in the group);
+        # each problem's intervals keep the order the one-problem loop gives
+        # them, so the bincount sums below match its sums
+        lo, hi = a[start:start + _GROUP], b[start:start + _GROUP]
+        n = len(lo)
+        own = np.arange(n)
+        vals, errs = panels(own + start, lo, hi)
+        failure = None
+        while True:
+            count = np.bincount(own, minlength=n)
+            total, err_total = np.bincount(own, vals, n), np.bincount(own, errs, n)
+            # bincount adds in order, as np.sum does below 8 terms; from 8
+            # on np.sum adds pairwise, so take its rounding there too
+            order = None
+            for k in np.flatnonzero(count >= 8):
+                if order is None:
+                    order, ends = np.argsort(own, kind="stable"), np.cumsum(count)
+                mine = order[ends[k] - count[k]:ends[k]]
+                total[k], err_total[k] = vals[mine].sum(), errs[mine].sum()
+            budget = np.maximum(rel_tol * np.abs(total), abs_floor)
+            live = count > 0
+            bad = live & ~(np.isfinite(total) & np.isfinite(err_total))
+            done = live & ~bad & (err_total <= budget)
+            full = live & ~bad & ~done & (count >= max_intervals)
+            for out, got in ((value, total), (error, err_total), (n_intervals, count)):
+                out[start:start + n][done] = got[done]
+            live &= ~(bad | done | full)
+            failing = np.flatnonzero(bad | full)
+            if len(failing):  # below any earlier failure: those above are dropped
+                k = failing[0]
+                failure = QuadratureError(
+                    "quadrature estimate is not finite" if bad[k] else
+                    "quadrature did not converge within the interval budget",
+                    float(total[k]), float(err_total[k]), float(budget[k]))
+                failure.index = start + int(k)
+                live[k:] = False
+            if not live.any():
+                break
+            # split what exceeds its share of the budget, or else the worst
+            top = np.full(n, -np.inf)
+            np.maximum.at(top, own, errs)
+            keep = live[own]
+            split = keep & ((errs > (budget / np.maximum(count, 1))[own]) | (errs >= top[own]))
+            keep &= ~split
+            mids = 0.5 * (lo[split] + hi[split])
+            fresh = (np.concatenate((own[split], own[split])),
+                     np.concatenate((lo[split], mids)), np.concatenate((mids, hi[split])))
+            fresh += panels(fresh[0] + start, *fresh[1:])
+            own, lo, hi, vals, errs = (np.concatenate((old[keep], new)) for old, new
+                                       in zip((own, lo, hi, vals, errs), fresh))
+        if failure is not None:
+            raise failure
+    # each bisection replaces one panel by two fresh ones
+    return QuadratureResult(value, error, 15 * (2 * n_intervals - 1), n_intervals)
+
+
 def integrate_adaptive(fn, a: float, b: float, rel_tol: float = 1e-10,
                        abs_floor: float = 1e-14, max_intervals: int = 4096) -> QuadratureResult:
     """Integrate fn over (a, b) to relative tolerance rel_tol.
@@ -88,41 +176,8 @@ def integrate_adaptive(fn, a: float, b: float, rel_tol: float = 1e-10,
     The accepted error is max(rel_tol * |integral|, abs_floor).  Raises
     QuadratureError if max_intervals bisections are not enough, or once
     the running value or error estimate is not finite (no interval could
-    then be chosen to split).
+    then be chosen to split).  This is integrate_batch with one problem.
     """
-    if not b > a:
-        raise ValueError("need b > a")
-    lo = np.array([float(a)])
-    hi = np.array([float(b)])
-    vals, errs = _panels(fn, lo, hi)
-    n_evals = 15
-    while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
-        budget = max(rel_tol * abs(total), abs_floor)
-        if not (math.isfinite(total) and math.isfinite(err_total)):
-            raise QuadratureError("quadrature estimate is not finite",
-                                  total, err_total, budget)
-        if err_total <= budget:
-            return QuadratureResult(total, err_total, n_evals, len(vals))
-        if len(vals) >= max_intervals:
-            raise QuadratureError(
-                "quadrature did not converge within the interval budget",
-                total, err_total, budget,
-            )
-        split = errs > budget / max(len(vals), 1)
-        if not split.any():
-            split = errs >= errs.max()
-        keep = ~split
-        mids = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[keep], lo[split], mids))
-        new_hi = np.concatenate((hi[keep], mids, hi[split]))
-        new_vals = np.concatenate((vals[keep], np.zeros(2 * split.sum())))
-        new_errs = np.concatenate((errs[keep], np.zeros(2 * split.sum())))
-        fresh_lo = new_lo[len(vals[keep]):]
-        fresh_hi = new_hi[len(vals[keep]):]
-        fv, fe = _panels(fn, fresh_lo, fresh_hi)
-        n_evals += 15 * len(fresh_lo)
-        new_vals[len(vals[keep]):] = fv
-        new_errs[len(vals[keep]):] = fe
-        lo, hi, vals, errs = new_lo, new_hi, new_vals, new_errs
+    res = integrate_batch(lambda t, k: fn(t), [a], [b], rel_tol, abs_floor, max_intervals)
+    return QuadratureResult(float(res.value[0]), float(res.error_estimate[0]),
+                            int(res.n_evals[0]), int(res.n_intervals[0]))

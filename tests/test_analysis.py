@@ -192,6 +192,15 @@ def test_maximal_sample_and_cell_average():
 
 # ---------------------------------------------------------------- convolution
 
+def test_operators_reject_points_with_more_than_one_axis():
+    f = make_step([0.0, 0.3, 0.6, 1.0], [1.0, 2.0, 3.0])
+    x = np.full((2, 3), 0.5)
+    with pytest.raises(ValueError, match="1-d"):
+        maximal(f)(x)
+    with pytest.raises(ValueError, match="1-d"):
+        convolution_values(box_kernel().scaled(0.1), f, x)
+
+
 def test_convolution_box_indicator_values():
     phi = box_kernel().scaled(0.1)
     assert convolution_values(phi, CHI, 0.4)[0] == pytest.approx(1.0, abs=1e-15)

@@ -312,6 +312,18 @@ def test_python_dash_m_matches_in_process_run(argv, capsys):
     assert "Traceback" not in proc.stderr
 
 
+def test_python_dash_m_rlab_cli_runs_the_cli(capsys):
+    argv = ["norm", "--spec", L22, "--fn", CHI_JSON]
+    code, out, _ = _run(capsys, argv)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert out == "0.5\n"
+
+
 @pytest.mark.skipif(shutil.which("rlab") is None,
                     reason="console script not on PATH")
 def test_console_script_entry_point():

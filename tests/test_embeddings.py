@@ -2,14 +2,15 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from rlab import (MeasureDensity, QuadratureError, SpaceSpec, atom_bound,
                   characteristic, cross_weight_check, domination_constant,
                   domination_slice_check, downward_check, empirical_constant,
-                  eps_grid, grand_lorentz_pq_norm, make_step, mutual_ac,
-                  shrinking_probe, wholds_check)
+                  eps_grid, grand_lorentz_pq_norm, integrate_adaptive,
+                  make_step, mutual_ac, shrinking_probe, wholds_check)
 from rlab import embeddings
 from rlab.stepfn import pointwise
 from rlab.weights import PowerWeight
@@ -112,13 +113,111 @@ def test_downward_divergent_pair_reports_inf(deadline):
     assert out.witness == f"eps={eps_grid(1.0)[0]:.17g}"
 
 
+def test_downward_reports_the_true_divergence_threshold(deadline):
+    # w = 1, v = t^0.45, r = 6: the integrand is c t^gamma with
+    # gamma = -0.45 (6 - eps)/(3 - eps), which reaches -1 at eps = 6/11;
+    # below that the integral is finite however steep the integrand
+    with deadline(20):
+        out = downward_check(3.0, 2.0, ONE, PowerWeight(0.45), grid_size=2048)
+    eps = eps_grid(1.0, 2048)
+    first = int(np.searchsorted(eps, 6.0 / 11.0))
+    assert eps[first - 1] < 6.0 / 11.0 <= eps[first]
+    assert not out.holds
+    assert out.condition_value == math.inf
+    assert out.witness == f"eps={eps[first]:.17g}"
+
+
+def _mp_downward(p, q, w, v, upper, eps):
+    """(int_0^upper (W/V)^beta w dt)^(1/(r-eps)) for power weights extended
+    beyond 1 by their density at 1, by mpmath quadrature of the integrand
+    itself (no closed form)."""
+    r = mpmath.mpf(p) * q / (p - q)
+    beta = (r - eps) / (p - eps)
+
+    def density(g, t):
+        return g.coeff * (t ** g.alpha if t <= 1 else 1)
+
+    def primitive(g, t):
+        if t <= 1:
+            return g.coeff * t ** (g.alpha + 1) / (g.alpha + 1)
+        return g.coeff / (g.alpha + 1) + g.coeff * (t - 1)
+
+    def integrand(t):
+        return (primitive(w, t) / primitive(v, t)) ** beta * density(w, t)
+
+    # t = s^20 turns the endpoint singularity t^gamma, gamma > -1, smooth
+    near = mpmath.quad(lambda s: integrand(s**20) * 20 * s**19, [0, 1])
+    far = mpmath.quad(integrand, [1, upper]) if upper > 1 else 0
+    return (near + far) ** (1 / (r - eps))
+
+
+@pytest.mark.parametrize("p, q, w, v, upper", [
+    (3.0, 1.5, PowerWeight(0.5), PowerWeight(1.0), 1.0),
+    (3.0, 2.0, PowerWeight(-0.3, 2.0), PowerWeight(-0.2, 0.5), 1.0),
+    (5.0, 1.7, PowerWeight(-0.3), PowerWeight(0.9), 1.0),
+    (2.5, 1.2, PowerWeight(0.0, 3.0), PowerWeight(0.2), 1.0),
+    (4.0, 3.0, PowerWeight(1.5, 0.7), PowerWeight(-0.5, 2.0), 2.5),
+])
+def test_downward_power_pairs_match_mpmath(p, q, w, v, upper):
+    out = downward_check(p, q, w, v, upper=upper, grid_size=8)
+    with mpmath.workdps(30):
+        want = [_mp_downward(p, q, w, v, upper, mpmath.mpf(e)) for e in eps_grid(q - 1.0, 8)]
+    best = max(range(8), key=lambda i: want[i])
+    assert out.holds
+    assert out.condition_value == pytest.approx(float(want[best]), rel=1e-12 if upper == 1 else 1e-9)
+    assert out.witness == f"eps={eps_grid(q - 1.0, 8)[best]:.17g}"
+
+
+def _step_downward_loop(p, q, w, v, upper, grid_size):
+    """downward_check for step weights one eps and one knot interval at a
+    time, as (values over the grid, grid): the reference for the batch."""
+    r = p * q / (p - q)
+
+    def extend(g):
+        bk, vals = g.breakpoints, g.values
+        cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bk))))
+
+        def density(t):
+            return np.where(t > 1.0, vals[-1], vals[np.clip(np.searchsorted(bk, t, "right") - 1,
+                                                            0, len(vals) - 1)])
+
+        def primitive(t):
+            return np.where(t > 1.0, cum[-1] + vals[-1] * (t - 1.0),
+                            np.interp(np.minimum(t, 1.0), bk, cum))
+        return density, primitive
+
+    (dw, pw), (_, pv) = extend(w), extend(v)
+    knots = np.unique(np.concatenate(([upper], w.breakpoints, v.breakpoints)))
+    knots = knots[knots <= upper]
+    eps = eps_grid(q - 1.0, grid_size)
+    values = []
+    for e in eps:
+        beta = (r - e) / (p - e)
+        total = sum(integrate_adaptive(lambda t: (pw(t) / pv(t)) ** beta * dw(t), a, b).value
+                    for a, b in zip(knots[:-1], knots[1:]))
+        values.append(total ** (1.0 / (r - e)))
+    return np.array(values), eps
+
+
+@pytest.mark.parametrize("upper", [1.0, 2.0])
+def test_downward_step_weights_match_interval_loop(upper):
+    w = make_step([0.0, 0.4, 1.0], [1.5, 0.7])
+    v = make_step([0.0, 0.2, 0.7, 1.0], [0.9, 1.3, 0.6])
+    want, eps = _step_downward_loop(3.0, 1.5, w, v, upper, 64)
+    out = downward_check(3.0, 1.5, w, v, upper=upper, grid_size=64)
+    i = int(np.argmax(want))
+    assert out.holds
+    assert out.condition_value == pytest.approx(want[i], rel=1e-9)
+    assert out.witness == f"eps={eps[i]:.17g}"
+
+
 def test_downward_propagates_finite_quadrature_failure(monkeypatch):
     def exhausted(*args, **kwargs):
         raise QuadratureError("interval budget exhausted", 0.5, 1e-3, 1e-10)
 
-    monkeypatch.setattr(embeddings, "integrate_adaptive", exhausted)
+    monkeypatch.setattr(embeddings, "integrate_batch", exhausted)
     with pytest.raises(QuadratureError):
-        downward_check(3.0, 2.0, ONE, ONE)
+        downward_check(3.0, 2.0, ONE, ONE, upper=2.0)
 
 
 def test_downward_validation():

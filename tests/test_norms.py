@@ -1,17 +1,18 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab import (MeasureDensity, SpaceSpec, characteristic, eps_grid,
+from rlab import (MeasureDensity, SpaceSpec, average, characteristic, eps_grid,
                   eps_profile, grand_lambda_norm, grand_lebesgue_norm,
                   grand_lorentz_pq_norm, grand_lorentz_slice_values,
-                  lambda_norm, lorentz_pq_norm, lorentz_pq_star_norm,
-                  make_step, norm_value, space_norm, spacespec_from_json,
-                  spacespec_to_json)
+                  integrate_adaptive, lambda_norm, lorentz_pq_norm, lorentz_pq_star_norm,
+                  make_step, norm_value, rearrangement, space_norm,
+                  spacespec_from_json, spacespec_to_json)
 from rlab.norms import EpsSupResult
 from rlab.weights import PowerWeight
 
@@ -72,6 +73,44 @@ def test_star_norm_weak_branch():
     m, p = 0.25, 2.0
     got = lorentz_pq_star_norm(_chi(m), p, math.inf)
     assert got == pytest.approx(m ** 0.5, rel=1e-12)
+
+
+def _star_norm_loop(f, p, q):
+    """The f** norm one segment at a time, one integrate_adaptive call per
+    mixed segment: the reference for the vectorized sums."""
+    avg = average(rearrangement(f))
+    bk, e = avg.breakpoints, q / p
+    total = 0.0
+    for i in range(len(avg.a)):
+        t1, t2, a, b = bk[i], bk[i + 1], avg.a[i], avg.b[i]
+        if b == 0.0:
+            total += a**q * (t2**e - t1**e) / e
+        elif a == 0.0:
+            total += b**q * (t2 ** (e - q) - t1 ** (e - q)) / (e - q)
+        else:
+            total += integrate_adaptive(lambda t: t ** (e - 1.0) * (a + b / t) ** q,
+                                        t1, t2).value
+    total -= avg.tail_mass**q * bk[-1] ** (e - q) / (e - q)
+    return (q / p * total) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("n", [10, 300, 3000])
+def test_star_norm_matches_segment_loop(n):
+    rng = np.random.default_rng(101 + n)
+    bk = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+    f = make_step(bk, np.exp(rng.uniform(-3.0, 3.0, n)) * (rng.uniform(size=n) > 0.2))
+    for p, q in ((2.0, 3.0), (1.5, 1.2), (4.0, 7.5)):
+        assert lorentz_pq_star_norm(f, p, q) == pytest.approx(_star_norm_loop(f, p, q),
+                                                              rel=1e-13)
+
+
+def test_star_norm_overflow_raises_instead_of_inf():
+    # one segment per level 1..100: 100**400 overflows; numpy would give inf
+    f = make_step(np.linspace(0.0, 1.0, 101), np.arange(1.0, 101.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape either
+        with pytest.raises(OverflowError):
+            lorentz_pq_star_norm(f, 2.0, 400.0)
 
 
 def test_grand_lebesgue_indicator_closed_form():

@@ -1,9 +1,13 @@
 """Tests for the adaptive Gauss-Kronrod integrator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rlab import QuadratureError, integrate_adaptive
+from rlab import (MeasureDensity, QuadratureError, downward_check, integrate_adaptive,
+                  integrate_batch, lorentz_pq_star_norm, make_step)
+from rlab import quadrature
 from rlab.quadrature import _panels
 
 
@@ -115,3 +119,132 @@ def test_divergent_integrand_raises_instead_of_hanging(deadline):
     with deadline(20), np.errstate(all="ignore"):
         with pytest.raises(QuadratureError):
             integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------- batches
+
+def _family(m):
+    """m problems of mixed difficulty: endpoint singularities t^alpha
+    (some need more than 8 intervals) and oscillations cos(w t)."""
+    rng = np.random.default_rng(m)
+    alpha = rng.uniform(-0.9, 2.0, m)
+    omega = rng.uniform(0.0, 60.0, m)
+    sing = rng.uniform(size=m) < 0.5
+    lo = np.where(sing, 0.0, rng.uniform(-1.0, 0.5, m))
+    hi = lo + rng.uniform(0.1, 2.0, m)
+
+    def one(k):
+        if sing[k]:
+            return lambda t: t ** alpha[k]
+        return lambda t: np.cos(omega[k] * t)
+
+    def fn(t, k):
+        return np.where(sing[k], np.abs(t) ** alpha[k], np.cos(omega[k] * t))
+
+    return fn, one, lo, hi
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["G-1", "G", "G+1"])
+def test_batch_matches_one_problem_runs_exactly(offset):
+    m = quadrature._GROUP + offset
+    fn, one, lo, hi = _family(m)
+    res = integrate_batch(fn, lo, hi, rel_tol=1e-11)
+    assert res.n_intervals.max() > 8  # the pairwise-sum branch is exercised
+    for k in range(m):
+        want = integrate_adaptive(one(k), lo[k], hi[k], rel_tol=1e-11)
+        got = (res.value[k], res.error_estimate[k], res.n_evals[k], res.n_intervals[k])
+        assert got == (want.value, want.error_estimate, want.n_evals, want.n_intervals)
+
+
+def test_batch_passes_problem_index_per_node():
+    seen = []
+
+    def fn(t, k):
+        seen.append((t.copy(), k.copy()))
+        return k + 0.0 * t
+
+    res = integrate_batch(fn, np.zeros(3), np.ones(3))
+    assert np.array_equal(res.value, [0.0, 1.0, 2.0])
+    t, k = seen[0]
+    assert t.shape == k.shape == (45,)
+    assert np.array_equal(k, np.repeat([0, 1, 2], 15))
+
+
+def test_batch_validates_limits():
+    empty = integrate_batch(lambda t, k: t, [], [])
+    assert empty.value.shape == (0,)
+    with pytest.raises(ValueError):
+        integrate_batch(lambda t, k: t, [0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        integrate_batch(lambda t, k: t, [0.0, 1.0], [1.0])
+
+
+def _exhausting(t):
+    return 1.0 / np.sqrt(t)  # needs more than 4 intervals at rel_tol 1e-14
+
+
+def _not_finite(t):
+    return np.full_like(t, np.nan)
+
+
+def _smooth(t):
+    return t * t
+
+
+@pytest.mark.parametrize("order", [(_exhausting, _not_finite), (_not_finite, _exhausting)],
+                         ids=["exhausted-first", "non-finite-first"])
+def test_batch_raises_for_the_lowest_failing_problem(order, deadline):
+    # the exhausted problem fails only after several bisections, the
+    # non-finite one at once: the lower index wins either way
+    fns = (_smooth, *order, _smooth)
+
+    def fn(t, k):
+        out = np.empty_like(t)
+        for j, g in enumerate(fns):
+            out[k == j] = g(t[k == j])
+        return out
+
+    lo, hi = np.zeros(4), np.ones(4)
+    with deadline(20), np.errstate(invalid="ignore"):
+        with pytest.raises(QuadratureError) as info:
+            integrate_batch(fn, lo, hi, rel_tol=1e-14, max_intervals=4)
+        with pytest.raises(QuadratureError) as alone:
+            integrate_adaptive(order[0], 0.0, 1.0, rel_tol=1e-14, max_intervals=4)
+    err, want = info.value, alone.value
+    assert err.index == 1
+    assert str(err) == str(want)
+    np.testing.assert_equal((err.value, err.achieved, err.requested),
+                            (want.value, want.achieved, want.requested))
+
+
+def test_batch_failure_in_a_later_group_raises_after_earlier_groups():
+    m = quadrature._GROUP + 3
+    calls = []
+
+    def fn(t, k):
+        calls.append(k.max())
+        return np.where(k == m - 1, np.inf, 1.0 + 0.0 * t)
+
+    with pytest.raises(QuadratureError) as info, np.errstate(invalid="ignore"):
+        integrate_batch(fn, np.zeros(m), np.ones(m))
+    assert info.value.index == m - 1
+    assert calls[0] == quadrature._GROUP - 1  # the first group ran alone
+
+
+def test_batched_callers_memory_stays_bounded():
+    rng = np.random.default_rng(97)
+    n = 20_000
+    bk = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+    f = make_step(bk, np.exp(rng.uniform(-3.0, 3.0, n)))
+    w = MeasureDensity(make_step([0.0, 0.4, 1.0], [1.5, 0.7]))
+    v = MeasureDensity(make_step([0.0, 0.2, 0.7, 1.0], [0.9, 1.3, 0.6]))
+    runs = (lambda: downward_check(3.0, 1.5, w, v, upper=2.0, grid_size=2048),
+            lambda: lorentz_pq_star_norm(f, 2.0, 3.0))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
