@@ -8,7 +8,11 @@ ranging in an open interval (0, limit): they are evaluated on a fixed
 geometric grid clustered toward both endpoints, then sharpened by a
 golden-section pass around the grid argmax.  A supremum attained at the
 first or last grid point is reported with an endpoint flag instead of
-pretending an interior maximizer exists.
+pretending an interior maximizer exists; at the upper end the value is the
+one-sided limit eps -> limit, in closed form.  Every slice factors out the
+top level and runs over eps in blocks of at most 2**16 float64 values
+(512 KiB), or one eps at a time past that many terms, so grand norms stay
+finite for any finite levels and their memory does not grow with the grid.
 
 The grid default is 2048 points with offset delta = 1e-6; every consumer
 of fixed-eps slices reuses the same grid constructor so slice-wise
@@ -67,6 +71,11 @@ GRID_DELTA = 1e-6
 INF = math.inf
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# float64 values per eps-slice temporary (512 KiB), not analysis's 2**14: a
+# block this size raises glibc's adaptive heap-trim threshold when freed; at
+# 2**14 the ~120 KiB quadrature arrays of downward_check were trimmed off the
+# heap and faulted back in on every bisection round (+30% per call)
+_BLOCK = 2**16
 
 
 def eps_grid(limit: float, size: Optional[int] = None, delta: float = GRID_DELTA) -> np.ndarray:
@@ -119,7 +128,8 @@ class EpsSupResult:
 
     endpoint_limit is None for an interior maximizer, "lower"/"upper" when
     the grid argmax sits at the first/last point, i.e. the supremum is
-    approached at an endpoint of the open interval rather than attained.
+    approached at an endpoint of the open interval rather than attained;
+    for "upper", value and eps_star are the one-sided limit at eps = limit.
     """
 
     value: float
@@ -148,18 +158,31 @@ def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
     """value(eps) = (eps * sum(values**(top-eps) * base)) ** (1/(top-eps)).
 
     values are nonnegative segment levels, base their nonnegative integral
-    weights, top the undamped exponent (q or p).  Vectorized over eps.
+    weights, top the undamped exponent (q or p).  Vectorized over eps.  The
+    top level vmax is factored out (the slice is 1-homogeneous in values):
+    value = vmax * (eps * sum(base * (values/vmax)**(top-eps)))**(1/(top-eps))
+    stays finite and nonzero for any finite levels.  eps is taken in blocks
+    of max(1, _BLOCK // terms), each with one temporary exponentiated in
+    place, so memory is bounded by _BLOCK values (or one eps row).
     """
     mask = (values > 0) & (base > 0)
-    logv = np.log(values[mask])
-    b = base[mask]
+    v, b = values[mask], base[mask]
+    vmax = v.max() if v.size else 1.0
+    logr = np.log(v / vmax)
+    step = max(1, _BLOCK // max(logr.size, 1))
+
+    def block(expo):
+        rows = expo[:, None] * logr
+        return np.exp(rows, out=rows) @ b
 
     def fn(eps):
-        eps = np.atleast_1d(np.asarray(eps, dtype=float))
-        if logv.size == 0:
+        eps = np.array(eps, dtype=float, ndmin=1)
+        if logr.size == 0:
             return np.zeros(eps.shape)
-        inner = np.exp((top - eps)[:, None] * logv[None, :]) @ b
-        return (eps * inner) ** (1.0 / (top - eps))
+        expo = top - eps
+        inner = (block(expo) if eps.size <= step else
+                 np.concatenate([block(expo[s:s + step]) for s in range(0, eps.size, step)]))
+        return vmax * (eps * inner) ** (1.0 / expo)
 
     return fn
 
@@ -170,14 +193,15 @@ def _sup_engine(slice_fn, limit: float, grid_size: Optional[int]) -> EpsSupResul
     if not np.any(vals > 0):
         return EpsSupResult(0.0, None, None, eps, vals)
     i = int(np.argmax(vals))
-    if i == 0 or i == len(eps) - 1:
-        flag = "lower" if i == 0 else "upper"
-        return EpsSupResult(float(vals[i]), float(eps[i]), flag, eps, vals)
+    if i == 0:
+        return EpsSupResult(float(vals[i]), float(eps[i]), "lower", eps, vals)
+    if i == len(eps) - 1:
+        # the one-sided limit at eps = limit, where the exponent top - eps is 1
+        value = max(float(slice_fn(limit)[0]), float(vals[i]))
+        return EpsSupResult(value, float(limit), "upper", eps, vals)
 
-    def scalar(e):
-        return float(slice_fn(np.array([e]))[0])
-
-    e_star, v_star = _golden_max(scalar, float(eps[i - 1]), float(eps[i + 1]))
+    e_star, v_star = _golden_max(lambda e: float(slice_fn(e)[0]),
+                                 float(eps[i - 1]), float(eps[i + 1]))
     if v_star >= vals[i]:
         return EpsSupResult(float(v_star), float(e_star), None, eps, vals)
     return EpsSupResult(float(vals[i]), float(eps[i]), None, eps, vals)
