@@ -20,7 +20,7 @@ from .norms import (SpaceSpec, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
 from .quadrature import QuadratureError, integrate_batch
 from .stepfn import MeasureDensity, StepFunction, characteristic, merge_segment_grids, step_to_json
-from .weights import PowerWeight, Weight, WeightPrimitive, w_primitive
+from .weights import PowerWeight, Weight, WeightPrimitive, _as_weight, w_primitive
 
 __all__ = [
     "EmbeddingVerdict",
@@ -79,6 +79,15 @@ def _ordered_pair(lo: float, hi: float, lo_name: str, hi_name: str,
     return lo, hi
 
 
+def _grid_sup(eps: np.ndarray, vals: np.ndarray) -> EmbeddingVerdict:
+    """Verdict from a condition sampled on the eps grid: its largest value,
+    which holds iff finite, with the eps where it sits as witness."""
+    i = int(np.argmax(vals))
+    value = float(vals[i])
+    return EmbeddingVerdict(condition_value=value, holds=math.isfinite(value),
+                            witness=f"eps={eps[i]:.17g}")
+
+
 def wholds_check(p: float, q: float, w: Weight,
                  grid_size: Optional[int] = None) -> EmbeddingVerdict:
     """Same-weight inclusion condition: sup over the eps grid in (0, p-1)
@@ -94,13 +103,7 @@ def wholds_check(p: float, q: float, w: Weight,
         vals = np.where(expo < 0, math.inf, np.where(expo == 0, 1.0, 0.0))
     else:
         vals = w1**expo
-    i = int(np.argmax(vals))
-    value = float(vals[i])
-    return EmbeddingVerdict(
-        condition_value=value,
-        holds=math.isfinite(value),
-        witness=f"eps={eps[i]:.17g}",
-    )
+    return _grid_sup(eps, vals)
 
 
 def cross_weight_check(p: float, q: float, w: Weight, v: Weight,
@@ -116,14 +119,7 @@ def cross_weight_check(p: float, q: float, w: Weight, v: Weight,
     if v1 <= 0.0:
         raise ValueError("degenerate target weight: V(1) = 0")
     eps = eps_grid(p - 1.0, grid_size)
-    vals = w1 ** (1.0 / (q - eps)) * v1 ** (-1.0 / (p - eps))
-    i = int(np.argmax(vals))
-    value = float(vals[i])
-    return EmbeddingVerdict(
-        condition_value=value,
-        holds=math.isfinite(value),
-        witness=f"eps={eps[i]:.17g}",
-    )
+    return _grid_sup(eps, w1 ** (1.0 / (q - eps)) * v1 ** (-1.0 / (p - eps)))
 
 
 class _ExtendedWeight:
@@ -132,34 +128,25 @@ class _ExtendedWeight:
     first interior breakpoint the density is c0 * t^alpha."""
 
     def __init__(self, w: Weight):
-        self.weight = w
-        self.prim = w_primitive(w)
-        self.w1 = self.prim.at_one
+        self.weight = w = _as_weight(w)
+        self.w1 = float(w.primitive(1.0))
         if isinstance(w, PowerWeight):
             self.last = self.c0 = w.coeff
             self.alpha = w.alpha
             self.interior = np.empty(0)
         else:
-            step = w.density if isinstance(w, MeasureDensity) else w
-            self._step = step
-            self.last = float(step.values[-1])
-            self.c0, self.alpha = float(step.values[0]), 0.0
-            self.interior = step.breakpoints[1:-1].copy()
+            values = w.density.values
+            self.last = float(values[-1])
+            self.c0, self.alpha = float(values[0]), 0.0
+            self.interior = w.density.breakpoints[1:-1]
 
     def density(self, t: np.ndarray) -> np.ndarray:
         ta = np.asarray(t, dtype=float)
-        if isinstance(self.weight, PowerWeight):
-            inner = self.weight(np.minimum(ta, 1.0))
-        else:
-            step = self._step
-            idx = np.clip(np.searchsorted(step.breakpoints, ta, side="right") - 1,
-                          0, len(step.values) - 1)
-            inner = step.values[idx]
-        return np.where(ta > 1.0, self.last, inner)
+        return np.where(ta > 1.0, self.last, self.weight(np.minimum(ta, 1.0)))
 
     def primitive(self, t: np.ndarray) -> np.ndarray:
         ta = np.asarray(t, dtype=float)
-        base = self.prim(np.minimum(ta, 1.0))
+        base = self.weight.primitive(np.minimum(ta, 1.0))
         return np.where(ta > 1.0, self.w1 + self.last * (ta - 1.0), base)
 
 
@@ -221,13 +208,7 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
             return EmbeddingVerdict(condition_value=math.inf, holds=False,
                                     witness=f"eps={eps[n]:.17g}")
         values = total ** (1.0 / (r - eps))
-    i = int(np.argmax(values))
-    value = float(values[i])
-    return EmbeddingVerdict(
-        condition_value=value,
-        holds=bool(np.all(np.isfinite(values))),
-        witness=f"eps={eps[i]:.17g}",
-    )
+    return _grid_sup(eps, values)
 
 
 def domination_constant(mu: MeasureDensity, nu: MeasureDensity) -> float:

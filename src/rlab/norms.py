@@ -1,5 +1,19 @@
 """Classical and grand Lorentz-type norms of step functions on (0, 1).
 
+Every kind but lorentz_pq_star is one power sum over segments (t_k, t_k+1)
+with a level v_k, a base b_k and a top exponent s: (sum b_k v_k^s)^(1/s),
+or for grand kinds sup over 0 < eps < s-1 of (eps sum b_k v_k^(s-eps))^(1/(s-eps)).
+
+    kind              levels v_k    base b_k                    s   eps limit
+    lorentz_pq        f* on (0, oo) t_k+1^(q/p) - t_k^(q/p)     q   -
+    grand_lorentz_pq  f* on (0, 1)  t_k+1^(q/p) - t_k^(q/p)     q   q-1
+    lambda_classical  f* on (0, 1)  int of w over the segment   p   -
+    lambda_grand      f* on (0, 1)  int of w over the segment   p   p-1
+    grand_lebesgue    |f|           segment length              p   p-1
+
+For q = inf the norm is max_k v_k t_k+1^(1/p).  space_norm evaluates them
+all from _terms; the per-kind functions are thin wrappers around it.
+
 Scalar norms (Lorentz L^{p,q}, its averaged variant, weighted Lambda) are
 exact segment sums except for the averaged variant with finite q, whose
 mixed-segment integrands (a + b/t)^q go through one batched adaptive
@@ -22,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -39,6 +53,7 @@ from .stepfn import (
 from .weights import (
     PowerWeight,
     Weight,
+    _as_weight,
     segment_weight_integrals,
     weight_from_json,
     weight_to_json,
@@ -151,9 +166,6 @@ class EpsSupResult:
         }
 
 
-_ZERO_RESULT = lambda: EpsSupResult(0.0, None, None, np.empty(0), np.empty(0))
-
-
 def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
     """value(eps) = (eps * sum(values**(top-eps) * base)) ** (1/(top-eps)).
 
@@ -207,26 +219,68 @@ def _sup_engine(slice_fn, limit: float, grid_size: Optional[int]) -> EpsSupResul
     return EpsSupResult(float(vals[i]), float(eps[i]), None, eps, vals)
 
 
-# -- parameter validation ----------------------------------------------
+# -- space specifications --------------------------------------------------
+
+class _Kind(NamedTuple):
+    p_lower: float             # p must exceed this
+    q_lower: Optional[float]   # q must exceed this (or be inf); None: takes no q
+    weighted: bool             # takes a weight (and needs one)
+    grand: bool                # an eps-supremum with limit top - 1
 
 
-def _check_p(p, lower=0.0, name="p"):
-    p = float(p)
-    if not np.isfinite(p) or p <= lower:
-        raise ValueError(f"{name} must be finite and > {lower}, got {p}")
-    return p
+_KINDS = {
+    "lorentz_pq": _Kind(0.0, 0.0, False, False),
+    "lorentz_pq_star": _Kind(1.0, 0.0, False, False),
+    "grand_lebesgue": _Kind(1.0, None, False, True),
+    "grand_lorentz_pq": _Kind(1.0, 1.0, False, True),
+    "lambda_classical": _Kind(0.0, None, True, False),
+    "lambda_grand": _Kind(1.0, None, True, True),
+}
 
 
-def _check_q(q, lower=0.0):
-    q = float(q)
-    if math.isinf(q):
-        return q
-    if not np.isfinite(q) or q <= lower:
-        raise ValueError(f"q must be > {lower} or infinite, got {q}")
-    return q
+@dataclass(frozen=True)
+class SpaceSpec:
+    """Which norm to evaluate, with its parameters.
+
+    kind: one of lorentz_pq, lorentz_pq_star, grand_lebesgue,
+    grand_lorentz_pq, lambda_classical, lambda_grand.  q may be math.inf
+    where the family admits it.  measure is the rearrangement measure
+    (Lebesgue when omitted); weight is required exactly for the lambda
+    kinds.  p and q are validated and stored as floats.
+    """
+
+    kind: str
+    p: float
+    q: Optional[float] = None
+    weight: Optional[Weight] = None
+    measure: Optional[MeasureDensity] = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown space kind {self.kind!r}")
+        kind = _KINDS[self.kind]
+        p = float(self.p)
+        if not math.isfinite(p) or p <= kind.p_lower:
+            raise ValueError(f"p must be finite and > {kind.p_lower}, got {p}")
+        object.__setattr__(self, "p", p)
+        if kind.q_lower is None:
+            if self.q is not None:
+                raise ValueError(f"{self.kind} does not take q")
+        elif self.q is None:
+            raise ValueError(f"{self.kind} needs q")
+        else:
+            q = float(self.q)
+            if not q > kind.q_lower:
+                raise ValueError(f"q must be > {kind.q_lower} or infinite, got {q}")
+            object.__setattr__(self, "q", q)
+        if kind.weighted != (self.weight is not None):
+            raise ValueError(f"{self.kind} needs a weight" if kind.weighted
+                             else f"{self.kind} does not take a weight")
+        if self.kind == "grand_lebesgue" and self.measure is not None:
+            raise ValueError("grand_lebesgue integrates |f| dx and takes no measure")
 
 
-# -- scalar norms -------------------------------------------------------
+# -- the power-sum evaluator ---------------------------------------------
 
 
 def _scaled_power_sum(values: np.ndarray, base: np.ndarray, s: float) -> float:
@@ -240,22 +294,82 @@ def _scaled_power_sum(values: np.ndarray, base: np.ndarray, s: float) -> float:
     return top * float(np.sum((values / top) ** s * base) ** (1.0 / s))
 
 
+def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
+    """(levels, base, top) with spec's norm of f = (sum base * levels**top)**(1/top),
+    or its eps-slices (eps * sum base * levels**(top-eps))**(1/(top-eps)).
+
+    For q = inf, top is inf and base is t**(1/p) at each segment's right end,
+    so the norm is max(levels * base).  t_weight (Lorentz kinds only) is an
+    extra weight on the t-integral, exact for step and power weights.
+    Not for lorentz_pq_star, whose f** is not a step function.
+    """
+    if spec.kind == "grand_lebesgue":
+        return np.abs(f.values), f.segment_lengths, spec.p
+    fstar = rearrangement(f, spec.measure or LEBESGUE)
+    if spec.weight is not None:
+        bk, levels = fstar.segments(1.0)
+        return levels, segment_weight_integrals(spec.weight, bk), spec.p
+    # the Lorentz kinds; only lorentz_pq integrates f* past t = 1
+    p, q = spec.p, spec.q
+    bk, levels = fstar.segments(None if spec.kind == "lorentz_pq" else 1.0)
+    if math.isinf(q):
+        # on each segment t^{1/p} increases, so the per-segment sup sits at
+        # the right endpoint
+        return levels, bk[1:] ** (1.0 / p), q
+    if t_weight is None:
+        return levels, np.diff(bk ** (q / p)), q
+    w = _as_weight(t_weight)
+    if isinstance(w, PowerWeight):
+        expo = q / p + w.alpha
+        if expo <= 0:
+            raise ValueError("t-weight power too singular at 0 for this q/p")
+        return levels, (q / p) * w.coeff * np.diff(bk**expo) / expo, q
+    mbk, mv, mw = merge_segment_grids(bk, levels, w.density.breakpoints, w.density.values)
+    return mv, mw * np.diff(mbk ** (q / p)), q
+
+
+def space_norm(f: StepFunction, spec: SpaceSpec,
+               grid_size: Optional[int] = None) -> Union[float, EpsSupResult]:
+    """Evaluate the norm described by spec; grand kinds return EpsSupResult."""
+    if spec.kind == "lorentz_pq_star":
+        return lorentz_pq_star_norm(f, spec.p, spec.q, spec.measure)
+    grand = _KINDS[spec.kind].grand
+    levels, base, top = _terms(f, spec)
+    if not levels.any():
+        value = 0.0
+    elif math.isinf(top):
+        value = float(np.max(levels * base))  # the largest right-end value
+    elif grand:
+        return _sup_engine(_slice_closure(levels, base, top), top - 1.0, grid_size)
+    else:
+        return _scaled_power_sum(levels, base, top)
+    return EpsSupResult(value, None, None, np.empty(0), np.empty(0)) if grand else value
+
+
+def norm_value(f: StepFunction, spec: SpaceSpec, grid_size: Optional[int] = None) -> float:
+    out = space_norm(f, spec, grid_size)
+    return out.value if isinstance(out, EpsSupResult) else float(out)
+
+
+def eps_profile(f: StepFunction, spec: SpaceSpec,
+                grid_size: Optional[int] = None) -> EpsSupResult:
+    """Full eps profile of a grand norm (value, maximizer or endpoint flag,
+    and the sampled curve)."""
+    if not _KINDS[spec.kind].grand:
+        raise ValueError(f"eps_profile needs a grand kind, got {spec.kind!r}")
+    out = space_norm(f, spec, grid_size)
+    assert isinstance(out, EpsSupResult)
+    return out
+
+
+# -- one wrapper per kind ----------------------------------------------------
+
+
 def lorentz_pq_norm(f: StepFunction, p: float, q: float,
                     mu: Optional[MeasureDensity] = None) -> float:
     """Lorentz norm ((q/p) * int_0^inf t^{q/p-1} f*(t)^q dt)^{1/q};
     for q = inf the supremum of t^{1/p} f*(t) over t > 0.  Exact."""
-    p = _check_p(p)
-    q = _check_q(q)
-    fstar = rearrangement(f, mu or LEBESGUE)
-    if fstar.is_zero():
-        return 0.0
-    bk, vals = fstar.breakpoints, fstar.values
-    if math.isinf(q):
-        # on each segment t^{1/p} increases, so the per-segment sup sits at
-        # the right endpoint
-        return float(np.max(vals * bk[1:] ** (1.0 / p)))
-    base = np.diff(bk ** (q / p))
-    return _scaled_power_sum(vals, base, q)
+    return space_norm(f, SpaceSpec("lorentz_pq", p, q, measure=mu))
 
 
 def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
@@ -268,8 +382,8 @@ def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
     mixed segments (a + b/t)^q go through one integrate_batch call at
     rel_tol.  Raises OverflowError when a q-th power sum is not finite.
     """
-    p = _check_p(p, 1.0)
-    q = _check_q(q)
+    spec = SpaceSpec("lorentz_pq_star", p, q, measure=mu)
+    p, q = spec.p, spec.q
     avg = average(rearrangement(f, mu or LEBESGUE))
     if avg.tail_mass == 0.0:
         return 0.0
@@ -304,26 +418,13 @@ def lambda_norm(f: StepFunction, p: float, weight: Weight,
                 mu: Optional[MeasureDensity] = None) -> float:
     """Weighted norm (int_0^1 f*(t)^p w(t) dt)^{1/p}; exact for step and
     power weights."""
-    p = _check_p(p)
-    fstar = rearrangement(f, mu or LEBESGUE)
-    if fstar.is_zero():
-        return 0.0
-    bk, vals = fstar.segments(1.0)
-    base = segment_weight_integrals(weight, bk)
-    return _scaled_power_sum(vals, base, p)
-
-
-# -- grand norms ----------------------------------------------------------
+    return space_norm(f, SpaceSpec("lambda_classical", p, weight=weight, measure=mu))
 
 
 def grand_lebesgue_norm(f: StepFunction, p: float,
                         grid_size: Optional[int] = None) -> EpsSupResult:
     """sup over 0 < eps < p-1 of (eps * int_0^1 |f|^{p-eps} dx)^{1/(p-eps)}."""
-    p = _check_p(p, 1.0)
-    if f.is_zero():
-        return _ZERO_RESULT()
-    slice_fn = _slice_closure(np.abs(f.values), f.segment_lengths, p)
-    return _sup_engine(slice_fn, p - 1.0, grid_size)
+    return space_norm(f, SpaceSpec("grand_lebesgue", p), grid_size)
 
 
 def grand_lorentz_pq_norm(f: StepFunction, p: float, q: float,
@@ -332,32 +433,14 @@ def grand_lorentz_pq_norm(f: StepFunction, p: float, q: float,
     """sup over 0 < eps < q-1 of
     ((q/p) eps int_0^1 t^{q/p-1} f*(t)^{q-eps} dt)^{1/(q-eps)};
     for q = inf the plain supremum of t^{1/p} f*(t) over 0 < t < 1."""
-    p = _check_p(p, 1.0)
-    q = _check_q(q, 1.0)
-    fstar = rearrangement(f, mu or LEBESGUE)
-    if fstar.is_zero():
-        return _ZERO_RESULT()
-    bk, vals = fstar.segments(1.0)
-    if math.isinf(q):
-        value = float(np.max(vals * bk[1:] ** (1.0 / p)))
-        return EpsSupResult(value, None, None, np.empty(0), np.empty(0))
-    base = np.diff(bk ** (q / p))
-    slice_fn = _slice_closure(vals, base, q)
-    return _sup_engine(slice_fn, q - 1.0, grid_size)
+    return space_norm(f, SpaceSpec("grand_lorentz_pq", p, q, measure=mu), grid_size)
 
 
 def grand_lambda_norm(f: StepFunction, p: float, weight: Weight,
                       mu: Optional[MeasureDensity] = None,
                       grid_size: Optional[int] = None) -> EpsSupResult:
     """sup over 0 < eps < p-1 of (eps int_0^1 f*(t)^{p-eps} w(t) dt)^{1/(p-eps)}."""
-    p = _check_p(p, 1.0)
-    fstar = rearrangement(f, mu or LEBESGUE)
-    if fstar.is_zero():
-        return _ZERO_RESULT()
-    bk, vals = fstar.segments(1.0)
-    base = segment_weight_integrals(weight, bk)
-    slice_fn = _slice_closure(vals, base, p)
-    return _sup_engine(slice_fn, p - 1.0, grid_size)
+    return space_norm(f, SpaceSpec("lambda_grand", p, weight=weight, measure=mu), grid_size)
 
 
 # -- fixed-eps slices (shared by the embedding checks) --------------------
@@ -373,122 +456,17 @@ def grand_lorentz_slice_values(f: StepFunction, p: float, q: float, eps,
     an optional extra weight on the t-integral, exact in closed form for
     both step and power weights.
     """
-    p = _check_p(p, 1.0)
-    q = _check_q(q, 1.0)
-    if math.isinf(q):
+    spec = SpaceSpec("grand_lorentz_pq", p, q, measure=mu)
+    if math.isinf(spec.q):
         raise ValueError("slices need finite q")
-    fstar = rearrangement(f, mu or LEBESGUE)
-    bk, vals = fstar.segments(1.0)
-    if t_weight is None:
-        base = np.diff(bk ** (q / p))
-    elif isinstance(t_weight, PowerWeight):
-        expo = q / p + t_weight.alpha
-        if expo <= 0:
-            raise ValueError("t-weight power too singular at 0 for this q/p")
-        base = (q / p) * t_weight.coeff * np.diff(bk**expo) / expo
-    else:
-        w = t_weight.density if isinstance(t_weight, MeasureDensity) else t_weight
-        mbk, mv, mw = merge_segment_grids(bk, vals, w.breakpoints, w.values)
-        base = mw * np.diff(mbk ** (q / p))
-        vals = mv
-    return _slice_closure(vals, base, q)(eps)
+    return _slice_closure(*_terms(f, spec, t_weight))(eps)
 
 
 def grand_lambda_slice_values(f: StepFunction, p: float, eps, weight: Weight,
                               mu: Optional[MeasureDensity] = None) -> np.ndarray:
     """(eps int_0^1 f*(t)^{p-eps} w(t) dt)^{1/(p-eps)} at the given eps values."""
-    p = _check_p(p, 1.0)
-    fstar = rearrangement(f, mu or LEBESGUE)
-    bk, vals = fstar.segments(1.0)
-    base = segment_weight_integrals(weight, bk)
-    return _slice_closure(vals, base, p)(eps)
-
-
-# -- space specifications --------------------------------------------------
-
-_KINDS = {
-    "lorentz_pq",
-    "lorentz_pq_star",
-    "grand_lebesgue",
-    "grand_lorentz_pq",
-    "lambda_classical",
-    "lambda_grand",
-}
-_GRAND_KINDS = {"grand_lebesgue", "grand_lorentz_pq", "lambda_grand"}
-_NEEDS_Q = {"lorentz_pq", "lorentz_pq_star", "grand_lorentz_pq"}
-_NEEDS_WEIGHT = {"lambda_classical", "lambda_grand"}
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Which norm to evaluate, with its parameters.
-
-    kind: one of lorentz_pq, lorentz_pq_star, grand_lebesgue,
-    grand_lorentz_pq, lambda_classical, lambda_grand.  q may be math.inf
-    where the family admits it.  measure is the rearrangement measure
-    (Lebesgue when omitted); weight is required exactly for the lambda
-    kinds.
-    """
-
-    kind: str
-    p: float
-    q: Optional[float] = None
-    weight: Optional[Weight] = None
-    measure: Optional[MeasureDensity] = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        lower = 1.0 if self.kind in (_GRAND_KINDS | {"lorentz_pq_star"}) else 0.0
-        _check_p(self.p, lower)
-        if self.kind in _NEEDS_Q:
-            if self.q is None:
-                raise ValueError(f"{self.kind} needs q")
-            _check_q(self.q, 1.0 if self.kind == "grand_lorentz_pq" else 0.0)
-        elif self.q is not None:
-            raise ValueError(f"{self.kind} does not take q")
-        if self.kind in _NEEDS_WEIGHT:
-            if self.weight is None:
-                raise ValueError(f"{self.kind} needs a weight")
-        elif self.weight is not None:
-            raise ValueError(f"{self.kind} does not take a weight")
-        if self.kind == "grand_lebesgue" and self.measure is not None:
-            raise ValueError("grand_lebesgue integrates |f| dx and takes no measure")
-
-
-def space_norm(f: StepFunction, spec: SpaceSpec,
-               grid_size: Optional[int] = None) -> Union[float, EpsSupResult]:
-    """Evaluate the norm described by spec; grand kinds return EpsSupResult."""
-    mu = spec.measure
-    if spec.kind == "lorentz_pq":
-        return lorentz_pq_norm(f, spec.p, spec.q, mu)
-    if spec.kind == "lorentz_pq_star":
-        return lorentz_pq_star_norm(f, spec.p, spec.q, mu)
-    if spec.kind == "lambda_classical":
-        return lambda_norm(f, spec.p, spec.weight, mu)
-    if spec.kind == "grand_lebesgue":
-        return grand_lebesgue_norm(f, spec.p, grid_size)
-    if spec.kind == "grand_lorentz_pq":
-        return grand_lorentz_pq_norm(f, spec.p, spec.q, mu, grid_size)
-    if spec.kind == "lambda_grand":
-        return grand_lambda_norm(f, spec.p, spec.weight, mu, grid_size)
-    raise ValueError(f"unknown space kind {spec.kind!r}")
-
-
-def norm_value(f: StepFunction, spec: SpaceSpec, grid_size: Optional[int] = None) -> float:
-    out = space_norm(f, spec, grid_size)
-    return out.value if isinstance(out, EpsSupResult) else float(out)
-
-
-def eps_profile(f: StepFunction, spec: SpaceSpec,
-                grid_size: Optional[int] = None) -> EpsSupResult:
-    """Full eps profile of a grand norm (value, maximizer or endpoint flag,
-    and the sampled curve)."""
-    if spec.kind not in _GRAND_KINDS:
-        raise ValueError(f"eps_profile needs a grand kind, got {spec.kind!r}")
-    out = space_norm(f, spec, grid_size)
-    assert isinstance(out, EpsSupResult)
-    return out
+    spec = SpaceSpec("lambda_grand", p, weight=weight, measure=mu)
+    return _slice_closure(*_terms(f, spec))(eps)
 
 
 def spacespec_from_json(obj: dict) -> SpaceSpec:
@@ -498,22 +476,16 @@ def spacespec_from_json(obj: dict) -> SpaceSpec:
         raise ValueError('space spec JSON needs a "kind" field')
     if "p" not in obj:
         raise ValueError('space spec JSON needs a "p" field')
-    kind = obj["kind"]
     q = obj.get("q")
     if isinstance(q, str):
         if q.lower() in ("inf", "infinity"):
             q = math.inf
         else:
             raise ValueError(f'q must be a number or "inf", got {q!r}')
-    weight = obj.get("weight")
-    if weight is not None:
-        weight = weight_from_json(weight)
-    measure = obj.get("measure")
-    if measure is not None:
-        measure = measure_from_json(measure)
-    return SpaceSpec(kind=kind, p=float(obj["p"]),
-                     q=None if q is None else float(q),
-                     weight=weight, measure=measure)
+    weight, measure = obj.get("weight"), obj.get("measure")
+    return SpaceSpec(obj["kind"], obj["p"], q,
+                     None if weight is None else weight_from_json(weight),
+                     None if measure is None else measure_from_json(measure))
 
 
 def spacespec_to_json(spec: SpaceSpec) -> dict:

@@ -173,13 +173,22 @@ class MeasureDensity:
         """mu((0, 1)), the total mass."""
         return float(np.dot(self.density.values, self.density.segment_lengths))
 
+    def __call__(self, t):
+        """The density w at t (StepFunction conventions)."""
+        return self.density(t)
+
+    def primitive(self, t):
+        """mu((0, t)) for t in [0, 1], exact: linear inside each segment."""
+        bk = self.density.breakpoints
+        cum = np.concatenate(([0.0], np.cumsum(self.density.values * np.diff(bk))))
+        return np.interp(t, bk, cum)
+
     def interval_mass(self, a: float, b: float) -> float:
         """mu((a, b)) for 0 <= a <= b <= 1."""
         if not 0.0 <= a <= b <= 1.0:
             raise ValueError("interval must sit inside [0, 1]")
-        bk = self.density.breakpoints
-        cum = np.concatenate(([0.0], np.cumsum(self.density.values * np.diff(bk))))
-        return float(np.interp(b, bk, cum) - np.interp(a, bk, cum))
+        lo, hi = self.primitive([a, b])
+        return float(hi - lo)
 
     @classmethod
     def lebesgue(cls) -> "MeasureDensity":

@@ -2,8 +2,9 @@
 
 Power weights coeff * t**alpha with alpha > -1 are kept symbolic so their
 integrals use the exact power rule rather than a step approximation; step
-weights ride on the same segment calculus as everything else.  A
-WeightPrimitive wraps W(t) = integral of the weight over (0, t).
+weights are MeasureDensity objects (a bare StepFunction is wrapped as one).
+Both kinds offer w(t) and the primitive W(t) = integral of w over (0, t);
+a WeightPrimitive wraps the latter.
 """
 from __future__ import annotations
 
@@ -36,6 +37,10 @@ class PowerWeight:
     def __call__(self, t):
         return self.coeff * np.asarray(t, dtype=float) ** self.alpha
 
+    def primitive(self, t):
+        """W(t) = coeff * t**(alpha+1) / (alpha+1), the integral over (0, t)."""
+        return self.coeff * np.asarray(t, dtype=float) ** (self.alpha + 1.0) / (self.alpha + 1.0)
+
     def segment_integrals(self, bk: np.ndarray) -> np.ndarray:
         """Exact integral of the weight over each segment of the grid bk."""
         return self.coeff * np.diff(bk ** (self.alpha + 1.0)) / (self.alpha + 1.0)
@@ -44,24 +49,23 @@ class PowerWeight:
 Weight = Union[PowerWeight, MeasureDensity, StepFunction]
 
 
-def _as_step_weight(w: Weight) -> StepFunction:
-    if isinstance(w, MeasureDensity):
-        return w.density
-    if isinstance(w, StepFunction):
-        if np.any(w.values < 0):
-            raise ValueError("weights must be nonnegative")
+def _as_weight(w: Weight) -> Union[PowerWeight, MeasureDensity]:
+    """w with a bare StepFunction wrapped as a MeasureDensity (which rejects
+    negative values); both kinds then offer __call__ and primitive."""
+    if isinstance(w, (PowerWeight, MeasureDensity)):
         return w
+    if isinstance(w, StepFunction):
+        return MeasureDensity(w)
     raise ValueError("weight must be a PowerWeight, MeasureDensity, or StepFunction")
 
 
 def segment_weight_integrals(w: Weight, bk: np.ndarray) -> np.ndarray:
     """Integral of the weight over each segment (bk[i], bk[i+1]) of a grid
     inside [0, 1]; exact for both weight kinds."""
+    w = _as_weight(w)
     if isinstance(w, PowerWeight):
         return w.segment_integrals(bk)
-    step = _as_step_weight(w)
-    cum = np.concatenate(([0.0], np.cumsum(step.values * np.diff(step.breakpoints))))
-    return np.diff(np.interp(bk, step.breakpoints, cum))
+    return np.diff(w.primitive(bk))
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,7 @@ class WeightPrimitive:
     weight: Weight
 
     def __call__(self, t):
-        ta = np.asarray(t, dtype=float)
-        if isinstance(self.weight, PowerWeight):
-            wgt = self.weight
-            return wgt.coeff * ta ** (wgt.alpha + 1.0) / (wgt.alpha + 1.0)
-        step = _as_step_weight(self.weight)
-        cum = np.concatenate(([0.0], np.cumsum(step.values * np.diff(step.breakpoints))))
-        return np.interp(ta, step.breakpoints, cum)
+        return _as_weight(self.weight).primitive(t)
 
     @property
     def at_one(self) -> float:
@@ -86,9 +84,7 @@ class WeightPrimitive:
 
 def w_primitive(w: Weight) -> WeightPrimitive:
     """Primitive W of a nonnegative weight; errors on non-integrable powers."""
-    if isinstance(w, PowerWeight):
-        return WeightPrimitive(w)  # PowerWeight validated alpha > -1 already
-    _as_step_weight(w)
+    _as_weight(w)  # rejects other types and negative steps; PowerWeight checked alpha
     return WeightPrimitive(w)
 
 
@@ -113,5 +109,5 @@ def weight_from_json(obj) -> Weight:
 def weight_to_json(w: Weight) -> dict:
     if isinstance(w, PowerWeight):
         return {"power_weight": {"alpha": w.alpha, "coeff": w.coeff}}
-    step = _as_step_weight(w)
+    step = _as_weight(w).density
     return {"breakpoints": step.breakpoints.tolist(), "values": step.values.tolist()}

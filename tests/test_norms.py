@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlab import (MeasureDensity, SpaceSpec, average, characteristic, eps_grid,
-                  eps_profile, grand_lambda_norm, grand_lebesgue_norm,
-                  grand_lorentz_pq_norm, grand_lorentz_slice_values,
+                  eps_profile, grand_lambda_norm, grand_lambda_slice_values,
+                  grand_lebesgue_norm, grand_lorentz_pq_norm, grand_lorentz_slice_values,
                   integrate_adaptive, lambda_norm, lorentz_pq_norm, lorentz_pq_star_norm,
                   make_step, norm_value, rearrangement, space_norm,
                   spacespec_from_json, spacespec_to_json)
@@ -161,6 +161,57 @@ def test_space_norm_dispatch_matches_direct_calls():
         grand_lorentz_pq_norm(f, 2.0, 1.5).value
 
 
+_STEP_MU = MeasureDensity(make_step([0.0, 0.3, 0.8, 1.0], [2.0, 0.5, 1.5]))
+_SIGNED = make_step([0.0, 0.2, 0.45, 0.7, 1.0], [1.5, -4.0, 0.25, 2.0])
+_MEASURES = pytest.mark.parametrize("mu", [None, _STEP_MU], ids=["lebesgue", "step_measure"])
+_WEIGHTS = pytest.mark.parametrize(
+    "w", [PowerWeight(0.5, 2.0), make_step([0.0, 0.4, 1.0], [3.0, 0.5])], ids=["power", "step"])
+
+
+@_WEIGHTS
+@_MEASURES
+@pytest.mark.parametrize("kind", ["lorentz_pq", "lorentz_pq_star", "grand_lebesgue",
+                                  "grand_lorentz_pq", "lambda_classical", "lambda_grand"])
+def test_space_norm_dispatch_matches_direct_calls_per_kind(kind, mu, w):
+    # kinds that take no weight (or, grand_lebesgue, no measure) ignore it
+    f = _SIGNED
+    args, direct = {
+        "lorentz_pq": (dict(p=2.0, q=3.0, measure=mu),
+                       lambda: lorentz_pq_norm(f, 2.0, 3.0, mu)),
+        "lorentz_pq_star": (dict(p=2.0, q=3.0, measure=mu),
+                            lambda: lorentz_pq_star_norm(f, 2.0, 3.0, mu)),
+        "grand_lebesgue": (dict(p=2.0), lambda: grand_lebesgue_norm(f, 2.0)),
+        "grand_lorentz_pq": (dict(p=2.0, q=1.5, measure=mu),
+                             lambda: grand_lorentz_pq_norm(f, 2.0, 1.5, mu)),
+        "lambda_classical": (dict(p=2.0, weight=w, measure=mu),
+                             lambda: lambda_norm(f, 2.0, w, mu)),
+        "lambda_grand": (dict(p=2.5, weight=w, measure=mu),
+                         lambda: grand_lambda_norm(f, 2.5, w, mu)),
+    }[kind]
+    spec = SpaceSpec(kind, **args)
+    want, got = direct(), space_norm(f, spec)
+    if isinstance(want, EpsSupResult):
+        assert (got.value, got.eps_star, got.endpoint_limit) == \
+            (want.value, want.eps_star, want.endpoint_limit)
+        assert np.array_equal(got.eps, want.eps)
+        assert np.array_equal(got.slice_values, want.slice_values)
+        assert norm_value(f, spec) == want.value
+    else:
+        assert got == want and norm_value(f, spec) == want
+
+
+@_WEIGHTS
+@_MEASURES
+def test_slice_functions_equal_profile_slices(mu, w):
+    f = _SIGNED
+    prof = eps_profile(f, SpaceSpec("grand_lorentz_pq", 2.0, 1.5, measure=mu))
+    assert np.array_equal(grand_lorentz_slice_values(f, 2.0, 1.5, eps_grid(0.5), mu=mu),
+                          prof.slice_values)
+    prof = eps_profile(f, SpaceSpec("lambda_grand", 2.5, weight=w, measure=mu))
+    assert np.array_equal(grand_lambda_slice_values(f, 2.5, eps_grid(1.5), w, mu=mu),
+                          prof.slice_values)
+
+
 def test_lambda_norm_weighted():
     # weight t: ||f||^2 = int_0^1 f*(t)^2 t dt, f already nonincreasing
     f = make_step([0.0, 0.5, 1.0], [2.0, 1.0])
@@ -298,6 +349,16 @@ def test_slice_values_measure_and_weight_arguments():
     assert np.allclose(weighted, base, rtol=1e-12)
 
 
+def test_slice_values_reject_bad_t_weight():
+    f = make_step([0.0, 0.3, 1.0], [2.0, 1.0])
+    eps = np.array([0.25, 0.5])
+    with pytest.raises(ValueError):
+        grand_lorentz_slice_values(f, 2.0, 2.0, eps,
+                                   t_weight=make_step([0.0, 0.5, 1.0], [1.0, -1.0]))
+    with pytest.raises(ValueError):
+        grand_lorentz_slice_values(f, 2.0, 2.0, eps, t_weight=2.0)
+
+
 # ---------------------------------------------------------------- SpaceSpec
 
 def test_spacespec_validation():
@@ -325,6 +386,10 @@ def test_spacespec_json_round_trip():
         text = json.dumps(spacespec_to_json(spec))
         assert spacespec_from_json(json.loads(text)) == spec
     assert spacespec_to_json(specs[0])["q"] == "inf"
+    # p and q are stored as validated floats, so raw inputs serialize too
+    loose = SpaceSpec("grand_lorentz_pq", 2, "inf")
+    assert spacespec_to_json(loose) == {"kind": "grand_lorentz_pq", "p": 2.0, "q": "inf"}
+    assert type(loose.p) is float and spacespec_from_json(spacespec_to_json(loose)) == loose
     with pytest.raises(ValueError):
         spacespec_from_json({"kind": "lorentz_pq", "p": 2.0, "q": "huge"})
     with pytest.raises(ValueError):

@@ -96,6 +96,21 @@ def test_primitive_matches_segment_sums():
         bk = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=5))))
         partial = np.cumsum(segment_weight_integrals(w, bk))
         assert np.allclose(partial, W(bk[1:]), rtol=1e-12)
+        assert np.allclose(np.diff(w.primitive(bk)), segment_weight_integrals(w, bk),
+                           rtol=1e-12)
+    # step weights share one primitive: its differences are the segment
+    # integrals and the interval masses, exactly
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        dens = make_step(np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0])),
+                         rng.uniform(0.0, 5.0, n))
+        mu = MeasureDensity(dens)
+        bk = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=5))))
+        steps = np.diff(mu.primitive(bk))
+        for w in (dens, mu):
+            assert np.array_equal(np.diff(w_primitive(w)(bk)), steps)
+            assert np.array_equal(segment_weight_integrals(w, bk), steps)
+        assert np.array_equal([mu.interval_mass(a, b) for a, b in zip(bk[:-1], bk[1:])], steps)
 
 
 def test_weight_json_power_round_trip():
