@@ -4,7 +4,7 @@ for step functions on (0, 1).
 Everything is exact or carries an explicit tolerance: step-function
 calculus and rearrangements are closed-form, norms reduce to segment
 power sums plus controlled quadrature, and the eps suprema behind grand
-norms run on a clustered grid with golden-section refinement.
+norms come from a branch-and-bound with a certified upper bound.
 """
 
 from .stepfn import (LEBESGUE, IntervalSet, MeasureDensity, StepFunction,

@@ -8,7 +8,9 @@ fixed command line and seed.  Exit codes: 0 success, 1 validation error,
 
 The eps-grid size defaults to 2048, overridden by the RLAB_GRID
 environment variable and then by --grid; CSV outputs record it in a
-comment header.
+comment header.  norm needs no grid: a grand norm comes from the
+certified branch-and-bound, and samples its eps profile only when
+--grid or RLAB_GRID asks for one.
 """
 from __future__ import annotations
 
@@ -95,10 +97,11 @@ def _cmd_norm(args) -> int:
     value = out.value if isinstance(out, EpsSupResult) else float(out)
     sys.stdout.write(_fmt(value) + "\n")
     if getattr(args, "out", None):
-        payload = {"value": value, "grid": grid or DEFAULT_GRID}
+        # grid: the size of the sampled eps profile, null when none was sampled
+        payload = {"value": value, "grid": None}
         if isinstance(out, EpsSupResult):
-            payload["eps_star"] = out.eps_star
-            payload["endpoint_limit"] = out.endpoint_limit
+            payload.update(grid=out.eps.size or None, upper=out.upper, evals=out.evals,
+                           eps_star=out.eps_star, endpoint_limit=out.endpoint_limit)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")
@@ -209,7 +212,7 @@ def _cmd_eps_profile(args) -> int:
     f = step_from_json(_load_json_arg(args.fn))
     spec = spacespec_from_json(_load_json_arg(args.spec))
     res = eps_profile(f, spec, grid)
-    lines = [f"# grid={grid or DEFAULT_GRID} value={_fmt(res.value)} "
+    lines = [f"# grid={grid or DEFAULT_GRID} value={_fmt(res.value)} upper={_fmt(res.upper)} "
              f"eps_star={'' if res.eps_star is None else _fmt(res.eps_star)} "
              f"endpoint={res.endpoint_limit or ''}"]
     lines.append("eps,value")

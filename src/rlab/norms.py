@@ -17,14 +17,28 @@ all from _terms; the per-kind functions are thin wrappers around it.
 Scalar norms (Lorentz L^{p,q}, its averaged variant, weighted Lambda) are
 exact segment sums except for the averaged variant with finite q, whose
 mixed-segment integrands (a + b/t)^q go through one batched adaptive
-quadrature call.  Grand norms are suprema over a damping parameter eps
-ranging in an open interval (0, limit): they are evaluated on a fixed
-geometric grid clustered toward both endpoints, then sharpened by a
-golden-section pass around the grid argmax.  A supremum attained at the
-first or last grid point is reported with an endpoint flag instead of
-pretending an interior maximizer exists; at the upper end the value is the
-one-sided limit eps -> limit, in closed form.  Every slice factors out the
-top level and runs over eps in blocks of at most 2**16 float64 values
+quadrature call.
+
+Grand norms are suprema over eps in (0, limit = s - 1), found by a
+certified branch-and-bound.  With G(eps) = log sum b_k (v_k/vmax)^(s-eps),
+log(value/vmax) = (log eps + G)/(s - eps), and G is convex (a log-sum-exp
+of functions linear in eps) and nondecreasing (v_k <= vmax).  On a cell
+[e1, e2], G lies below its chord and log eps below its tangent at the
+midpoint, so the numerator is at most A + B eps; (A + B eps)/(s - eps) is
+monotone, so its larger end value bounds the cell.  On the first cell
+(0, e1] the numerator is at most log e1 + G(e1).  The search starts from
+64 nodes geometric toward both ends and the limit, where the slice is
+limit * sum b_k v_k in closed form (endpoint_limit "upper" if it wins).
+Each cell whose bound exceeds the best log value by more than 2e-13 is cut
+into 8, all new nodes in one slice call, until none is left.  upper, the
+largest bound of a discarded cell, is widened in log(value) by
+    delta = u (log2(terms) + 3 s spread + 8 (c + s + 6)),
+u = 2**-53, spread = log(vmax/vmin) and c >= s |log(value/vmax)| + |G| +
+|log eps| at every node: a bound on the rounding of each G (exponents,
+exp, the pairwise sum, the 1/s power, logs) and of the cell bounds, so
+[value, upper] holds in floating point (terms below the smallest normal
+float aside).  A profile is sampled only on request.  Slices factor out
+the top level and run over eps in blocks of at most 2**16 float64 values
 (512 KiB), or one eps at a time past that many terms, so grand norms stay
 finite for any finite levels and their memory does not grow with the grid.
 
@@ -36,12 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .quadrature import integrate_batch
-from .rearrange import average, rearrangement
+from .rearrange import Rearrangement, average, rearrangement
 from .stepfn import (
     LEBESGUE,
     MeasureDensity,
@@ -85,12 +99,14 @@ DEFAULT_GRID = 2048
 GRID_DELTA = 1e-6
 INF = math.inf
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # float64 values per eps-slice temporary (512 KiB), not analysis's 2**14: a
 # block this size raises glibc's adaptive heap-trim threshold when freed; at
 # 2**14 the ~120 KiB quadrature arrays of downward_check were trimmed off the
 # heap and faulted back in on every bisection round (+30% per call)
 _BLOCK = 2**16
+# the eps-sup branch-and-bound: starting nodes, the split of a cell, the
+# stopping tolerance in log(value), and the unit roundoff
+_START, _SPLIT, _TOL, _U = 64, 8, 2e-13, 2.0**-53
 
 
 def eps_grid(limit: float, size: Optional[int] = None, delta: float = GRID_DELTA) -> np.ndarray:
@@ -111,45 +127,26 @@ def eps_grid(limit: float, size: Optional[int] = None, delta: float = GRID_DELTA
     return np.sort(np.concatenate((lo, hi)))
 
 
-def _golden_max(fn: Callable[[float], float], a: float, b: float,
-                rel_tol: float = 1e-10, max_iter: int = 400):
-    """Golden-section maximization of a unimodal-ish scalar function."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(abs(a), abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-            x, v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-            x, v = d, fd
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+# starting nodes as fractions of the eps limit; a split cell's new nodes as
+# fractions of its width, or in the first cell (0, hi] of hi
+_NODES = eps_grid(1.0, _START)
+_FRAC, _GEOM = np.arange(1, _SPLIT) / _SPLIT, float(_SPLIT) ** -np.arange(_SPLIT - 1, 0, -1)
 
 
 @dataclass(eq=False)
 class EpsSupResult:
-    """Outcome of an eps-supremum: the value, where it was attained, and the
-    sampled profile.
-
-    endpoint_limit is None for an interior maximizer, "lower"/"upper" when
-    the grid argmax sits at the first/last point, i.e. the supremum is
-    approached at an endpoint of the open interval rather than attained;
-    for "upper", value and eps_star are the one-sided limit at eps = limit.
-    """
+    """An eps-supremum in the bracket [value, upper]: value is the best
+    slice evaluated (at least every profile slice), upper a certified bound
+    widened for rounding, evals the branch-and-bound's slice evaluations.
+    endpoint_limit is "upper" when value is the one-sided limit at eps =
+    limit (eps_star = limit), else None: every slice tends to 0 as eps -> 0.
+    eps and slice_values hold the sampled profile, if one was asked for."""
 
     value: float
     eps_star: Optional[float]
     endpoint_limit: Optional[str]
+    upper: float
+    evals: int
     eps: np.ndarray = field(default_factory=lambda: np.empty(0))
     slice_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -160,8 +157,10 @@ class EpsSupResult:
     def to_json(self) -> dict:
         return {
             "value": self.value,
+            "upper": self.upper,
             "eps_star": self.eps_star,
             "endpoint_limit": self.endpoint_limit,
+            "evals": self.evals,
             "profile": [[e, v] for e, v in self.profile],
         }
 
@@ -174,8 +173,9 @@ def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
     top level vmax is factored out (the slice is 1-homogeneous in values):
     value = vmax * (eps * sum(base * (values/vmax)**(top-eps)))**(1/(top-eps))
     stays finite and nonzero for any finite levels.  eps is taken in blocks
-    of max(1, _BLOCK // terms), each with one temporary exponentiated in
-    place, so memory is bounded by _BLOCK values (or one eps row).
+    of max(1, _BLOCK // terms), each with one temporary weighted in place,
+    so memory is bounded by _BLOCK values (or one eps row); numpy sums each
+    row pairwise, so rounding grows with log2(terms), not terms.
     """
     mask = (values > 0) & (base > 0)
     v, b = values[mask], base[mask]
@@ -185,7 +185,7 @@ def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
 
     def block(expo):
         rows = expo[:, None] * logr
-        return np.exp(rows, out=rows) @ b
+        return np.multiply(np.exp(rows, out=rows), b, out=rows).sum(axis=1)
 
     def fn(eps):
         eps = np.array(eps, dtype=float, ndmin=1)
@@ -199,24 +199,64 @@ def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
     return fn
 
 
-def _sup_engine(slice_fn, limit: float, grid_size: Optional[int]) -> EpsSupResult:
-    eps = eps_grid(limit, grid_size)
-    vals = slice_fn(eps)
-    if not np.any(vals > 0):
-        return EpsSupResult(0.0, None, None, eps, vals)
-    i = int(np.argmax(vals))
-    if i == 0:
-        return EpsSupResult(float(vals[i]), float(eps[i]), "lower", eps, vals)
-    if i == len(eps) - 1:
-        # the one-sided limit at eps = limit, where the exponent top - eps is 1
-        value = max(float(slice_fn(limit)[0]), float(vals[i]))
-        return EpsSupResult(value, float(limit), "upper", eps, vals)
+def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float,
+                grid_size: Optional[int]) -> EpsSupResult:
+    """Certified sup over 0 < eps < limit = top - 1 of the slices of
+    (levels, base, top): the branch-and-bound of the module docstring."""
+    limit = top - 1.0
+    keep = (levels > 0) & (base > 0)
+    if not keep.any():
+        return EpsSupResult(0.0, None, None, 0.0, 0)
+    fn = _slice_closure(levels, base, top)  # the module global: a wrapper sees every node
+    vmax = float(levels[keep].max())
 
-    e_star, v_star = _golden_max(lambda e: float(slice_fn(e)[0]),
-                                 float(eps[i - 1]), float(eps[i + 1]))
-    if v_star >= vals[i]:
-        return EpsSupResult(float(v_star), float(e_star), None, eps, vals)
-    return EpsSupResult(float(vals[i]), float(eps[i]), None, eps, vals)
+    def run(eps):  # slice values and G at the nodes eps, in one call
+        vals = fn(eps)
+        return vals, (top - eps) * np.log(vals / vmax) - np.log(eps)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nodes = np.append(limit * _NODES, limit)
+        vals, g = run(nodes)
+        i = nodes.size - 1 - int(np.argmax(vals[::-1]))  # ties go to the limit
+        best_v, best_e, evals, g_lim = float(vals[i]), float(nodes[i]), nodes.size, g[-1]
+        # the open cells [lo, hi] in ascending order, the first one (0, nodes[0]]
+        lo, lo_g, hi, hi_g = np.append(0.0, nodes[:-1]), np.append(g[0], g[:-1]), nodes, g
+        closed = -math.inf  # the largest bound of a discarded cell
+        while True:
+            if lo.size and lo[0] == 0.0:
+                e0, g0 = hi[0], hi_g[0]  # the smallest node
+            best = math.log(best_v / vmax)
+            m = 0.5 * (lo + hi)
+            half, lm, n_hi = (hi - lo) / (2.0 * m), np.log(m), np.log(hi) + hi_g
+            bound = np.where(lo > 0, np.maximum((lo_g + lm - half) / (top - lo),
+                                                (hi_g + lm + half) / (top - hi)),
+                             np.maximum(n_hi / top, n_hi / (top - hi)))
+            split = (bound > best + _TOL) & (half > 8 * _U)  # children must be distinct floats
+            closed = max(closed, float(np.max(bound[~split], initial=-math.inf)))
+            if not split.any():
+                break
+            lo, lo_g, hi, hi_g = lo[split], lo_g[split], hi[split], hi_g[split]
+            mid = np.where(lo[:, None] > 0, lo[:, None] + (hi - lo)[:, None] * _FRAC,
+                           hi[:, None] * _GEOM)
+            vals, g = run(mid.ravel())
+            evals += mid.size
+            j = int(np.argmax(vals))
+            if vals[j] > best_v:
+                best_v, best_e = float(vals[j]), float(mid.flat[j])
+            cut = np.column_stack((lo, mid, hi))
+            gs = np.column_stack((lo_g, g.reshape(mid.shape), hi_g))
+            lo, lo_g, hi, hi_g = cut[:, :-1].ravel(), gs[:, :-1].ravel(), cut[:, 1:].ravel(), gs[:, 1:].ravel()
+    # l lies in [min(0, log e0 + g0), top_l], G in [g0, g_lim], log eps in [log e0, log limit]
+    top_l = max(best, closed)
+    c = (top + 1) * (abs(math.log(e0)) + abs(g0) + abs(g_lim) + abs(top_l) + abs(math.log(limit)))
+    spread = math.log(vmax / levels[keep].min())
+    delta = _U * (math.log2(keep.sum()) + 3 * top * spread + 8 * (c + top + 6))
+    eps = eps_grid(limit, grid_size) if grid_size else np.empty(0)  # a profile on request
+    prof = fn(eps) if grid_size else eps
+    if prof.size and prof.max() > best_v:
+        best_v, best_e = float(prof.max()), float(eps[np.argmax(prof)])
+    return EpsSupResult(best_v, best_e, "upper" if best_e == limit else None,
+                        max(best_v, vmax * math.exp(top_l + delta)), evals, eps, prof)
 
 
 # -- space specifications --------------------------------------------------
@@ -312,6 +352,9 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
     # the Lorentz kinds; only lorentz_pq integrates f* past t = 1
     p, q = spec.p, spec.q
     bk, levels = fstar.segments(None if spec.kind == "lorentz_pq" else 1.0)
+    # 1-homogeneous: the last breakpoint (1 for the grand kinds) moves into
+    # the levels, so bk**(q/p) cannot overflow to a NaN base inf - inf
+    bk, levels = bk / bk[-1], levels * bk[-1] ** (1.0 / p)
     if math.isinf(q):
         # on each segment t^{1/p} increases, so the per-segment sup sits at
         # the right endpoint
@@ -340,10 +383,10 @@ def space_norm(f: StepFunction, spec: SpaceSpec,
     elif math.isinf(top):
         value = float(np.max(levels * base))  # the largest right-end value
     elif grand:
-        return _sup_engine(_slice_closure(levels, base, top), top - 1.0, grid_size)
+        return _sup_engine(levels, base, top, grid_size)
     else:
         return _scaled_power_sum(levels, base, top)
-    return EpsSupResult(value, None, None, np.empty(0), np.empty(0)) if grand else value
+    return EpsSupResult(value, None, None, value, 0) if grand else value
 
 
 def norm_value(f: StepFunction, spec: SpaceSpec, grid_size: Optional[int] = None) -> float:
@@ -353,13 +396,11 @@ def norm_value(f: StepFunction, spec: SpaceSpec, grid_size: Optional[int] = None
 
 def eps_profile(f: StepFunction, spec: SpaceSpec,
                 grid_size: Optional[int] = None) -> EpsSupResult:
-    """Full eps profile of a grand norm (value, maximizer or endpoint flag,
-    and the sampled curve)."""
+    """A grand norm's bracket together with its sampled eps curve on
+    eps_grid(limit, grid_size or DEFAULT_GRID)."""
     if not _KINDS[spec.kind].grand:
         raise ValueError(f"eps_profile needs a grand kind, got {spec.kind!r}")
-    out = space_norm(f, spec, grid_size)
-    assert isinstance(out, EpsSupResult)
-    return out
+    return space_norm(f, spec, grid_size or DEFAULT_GRID)
 
 
 # -- one wrapper per kind ----------------------------------------------------
@@ -378,40 +419,44 @@ def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
     """Lorentz norm with f* replaced by its running average f**.
 
     Needs p > 1 (the tail t^{q/p - q - 1} must be integrable at infinity).
-    Constant and pure-tail segments are exact power-rule integrals; the
-    mixed segments (a + b/t)^q go through one integrate_batch call at
-    rel_tol.  Raises OverflowError when a q-th power sum is not finite.
+    The norm is 1-homogeneous in f and scales by c^(1/p) when t does by c,
+    so f** is built with f*'s top level and last breakpoint factored out,
+    and the q-th power integrals are summed in log-sum-exp form.  The first
+    segment and the tail are power rules; the others, (a + b/t)^q, go
+    through one integrate_batch call at rel_tol in u = log t, each
+    integrand divided by its larger end value (its log is convex in u), so
+    a peak at a segment end cannot hide from the first panel.  Raises
+    OverflowError when the norm itself exceeds the float range.
     """
     spec = SpaceSpec("lorentz_pq_star", p, q, measure=mu)
     p, q = spec.p, spec.q
-    avg = average(rearrangement(f, mu or LEBESGUE))
-    if avg.tail_mass == 0.0:
+    fstar = rearrangement(f, mu or LEBESGUE)
+    if fstar.is_zero():
         return 0.0
+    top, end = float(fstar.values[0]), float(fstar.breakpoints[-1])
+    avg = average(Rearrangement(fstar.breakpoints / end, fstar.values / top, fstar.total / end))
     bk = avg.breakpoints
     if math.isinf(q):
         # d/dt of t^{1/p} (a + b/t) has a single sign change (- to +), so
         # interior critical points are minima and breakpoint values dominate
         tpos = bk[bk > 0]
-        return float(np.max(tpos ** (1.0 / p) * avg(tpos)))
-    e, g = q / p, q / p - q  # g < 0: t^(g-1) is integrable at infinity
-    a, b, t1, t2 = avg.a, avg.b, bk[:-1], bk[1:]
-    const = b == 0.0
-    tail = ~const & (a == 0.0)
-    mixed = ~(const | tail)
-    # numpy powers overflow to inf instead of raising; the checks below do
-    with np.errstate(all="ignore"):
-        total = (np.sum(a[const] ** q * (t2[const] ** e - t1[const] ** e)) / e
-                 + (np.sum(b[tail] ** q * (t2[tail] ** g - t1[tail] ** g))
-                    - avg.tail_mass ** q * bk[-1] ** g) / g)
-        if not math.isfinite(total):
-            raise OverflowError("f** power sum is not finite")
-        if mixed.any():
-            am, bm = a[mixed], b[mixed]
-            total += integrate_batch(lambda t, k: t ** (e - 1.0) * (am[k] + bm[k] / t) ** q,
-                                     t1[mixed], t2[mixed], rel_tol=rel_tol).value.sum()
-            if not math.isfinite(total):
-                raise OverflowError("f** power sum is not finite")
-    return float(((q / p) * total) ** (1.0 / q))
+        norm = float(np.max(tpos ** (1.0 / p) * avg(tpos)))
+    else:
+        # f* is strictly decreasing, so f** = 1 on the first segment and
+        # a + b/t with b > 0 on the others, all integrated in one batch
+        e, a, b, u = q / p, avg.a[1:], avg.b[1:], np.log(bk[1:])  # u = log t
+        ends = np.maximum(e * u[:-1] + q * np.log(a + b / bk[1:-1]), e * u[1:] + q * np.log(a + b / bk[2:]))
+        logs = np.concatenate(([e * u[0] - math.log(e),  # t^(e-1) on (0, t1)
+                                q * math.log(avg.tail_mass) - math.log(q - e)],  # past t = 1
+                               ends + np.log(integrate_batch(
+                                   lambda x, k: np.exp(e * x + q * np.log(a[k] + b[k] * np.exp(-x)) - ends[k]),
+                                   u[:-1], u[1:], rel_tol=rel_tol).value) if a.size else []))
+        peak = logs.max()
+        norm = math.exp((math.log(e) + peak + math.log(np.sum(np.exp(logs - peak)))) / q)
+    out = top * end ** (1.0 / p) * norm
+    if not math.isfinite(out):
+        raise OverflowError("the f** norm exceeds the float range")
+    return out
 
 
 def lambda_norm(f: StepFunction, p: float, weight: Weight,

@@ -44,6 +44,22 @@ def test_norm_out_file_payload(tmp_path, capsys):
     assert payload["endpoint_limit"] is None
 
 
+def test_norm_out_file_reports_the_bracket(tmp_path, capsys):
+    # without --grid no profile is sampled: grid is null, the bracket is there
+    dest = tmp_path / "norm.json"
+    code, out, _ = _run(capsys, ["norm", "--spec", GRAND22, "--fn", CHI_JSON,
+                                 "--out", str(dest)])
+    assert code == 0
+    payload = json.loads(dest.read_text())
+    assert payload["grid"] is None
+    assert payload["value"] == float(out) <= payload["upper"] <= payload["value"] * (1 + 1e-12)
+    assert 0 < payload["evals"] <= 256
+    code, out, _ = _run(capsys, ["eps-profile", "--fn", CHI_JSON, "--spec", GRAND22,
+                                 "--grid", "16"])
+    header = dict(kv.split("=") for kv in out.splitlines()[0][2:].split(" "))
+    assert float(header["value"]) <= float(header["upper"])
+
+
 def test_norm_reads_spec_and_fn_from_files(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     fn_path = tmp_path / "fn.json"
@@ -281,14 +297,14 @@ def test_exit_code_on_missing_required_flag(capsys):
     capsys.readouterr()
 
 
-# one segment per level 1..100: the f** integrand a**q overflows at q = 400
-STEEP_JSON = json.dumps({"breakpoints": np.linspace(0.0, 1.0, 101).tolist(),
-                         "values": np.arange(1.0, 101.0).tolist()})
-STAR_Q400 = '{"kind": "lorentz_pq_star", "p": 2, "q": 400}'
+# f** = f on (0, 1] and f/t past 1: the (2, 2) norm is 1.5e308 * sqrt(2),
+# past the float range
+HUGE_JSON = '{"breakpoints": [0.0, 1.0], "values": [1.5e308]}'
+STAR22 = '{"kind": "lorentz_pq_star", "p": 2, "q": 2}'
 
 
 def test_exit_code_on_overflow(capsys):
-    code, out, err = _run(capsys, ["norm", "--spec", STAR_Q400, "--fn", STEEP_JSON])
+    code, out, err = _run(capsys, ["norm", "--spec", STAR22, "--fn", HUGE_JSON])
     assert code == 2
     assert out == ""
     assert err.startswith("computation error:")
@@ -297,7 +313,7 @@ def test_exit_code_on_overflow(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["norm", "--spec", L22, "--fn", CHI_JSON],
-    ["norm", "--spec", STAR_Q400, "--fn", STEEP_JSON],
+    ["norm", "--spec", STAR22, "--fn", HUGE_JSON],
 ], ids=["ok", "overflow"])
 def test_python_dash_m_matches_in_process_run(argv, capsys):
     code, out, err = _run(capsys, argv)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab import (MeasureDensity, SpaceSpec, average, characteristic, eps_grid,
+from rlab import (DEFAULT_GRID, MeasureDensity, SpaceSpec, average, characteristic, eps_grid,
                   eps_profile, grand_lambda_norm, grand_lambda_slice_values,
                   grand_lebesgue_norm, grand_lorentz_pq_norm, grand_lorentz_slice_values,
                   integrate_adaptive, lambda_norm, lorentz_pq_norm, lorentz_pq_star_norm,
@@ -105,12 +105,57 @@ def test_star_norm_matches_segment_loop(n):
 
 
 def test_star_norm_overflow_raises_instead_of_inf():
-    # one segment per level 1..100: 100**400 overflows; numpy would give inf
-    f = make_step(np.linspace(0.0, 1.0, 101), np.arange(1.0, 101.0))
+    # f** = f on (0, 1] and f/t past 1, so the (2, 2) norm of f = 1.5e308
+    # is 1.5e308 * sqrt(2), past the float range; numpy would give inf
+    f = make_step([0.0, 1.0], [1.5e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning may escape either
         with pytest.raises(OverflowError):
-            lorentz_pq_star_norm(f, 2.0, 400.0)
+            lorentz_pq_star_norm(f, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("bk,levels,p,q", [
+    (np.linspace(0.0, 1.0, 101), np.arange(100.0, 0.0, -1.0), 2.0, 400.0),  # a**q overflows
+    ([0.0, 0.5, 1.0], [1e-200, 3e-201], 2.0, 3.0),  # a**q underflows
+    ([0.0, 0.5, 1.0], [1.0, 1e-10], 2.0, 400.0),    # so does t**(q/p) on the first segment
+    ([0.0, 1e-3, 1.0], [1.0, 1e-10], 2.0, 400.0),   # and the whole second-segment integrand
+    # undivided by its peak, this integrand stays under integrate_batch's
+    # absolute error floor of 1e-14, and one panel passes 1.7% low
+    ([0.0, 1e-3, 1.0], [1.0, 1e-2], 2.0, 40.0),
+])
+def test_star_norm_extreme_levels_match_mpmath(bk, levels, p, q):
+    f = make_step(bk, levels)  # levels already nonincreasing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lorentz_pq_star_norm(f, p, q)
+    assert got == pytest.approx(float(_mp_star_norm(bk, levels, p, q)), rel=1e-10, abs=0.0)
+
+
+def test_star_norm_is_homogeneous_against_mpmath():
+    bk = [0.0, 0.2, 0.45, 1.0]
+    levels = [3.0, 1.0, 0.25]
+    want = _mp_star_norm(bk, levels, 2.0, 3.0)
+    for log_c in (-250, -120, 0, 120, 250):
+        c = 10.0 ** log_c
+        got = lorentz_pq_star_norm(make_step(bk, [c * v for v in levels]), 2.0, 3.0)
+        assert got == pytest.approx(float(want * mpmath.mpf(c)), rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_levels=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+       widths=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+       log_c=st.floats(-250.0, 250.0),
+       p=st.floats(1.1, 6.0), q=st.floats(0.5, 60.0))
+def test_star_norm_is_homogeneous(log_levels, widths, log_c, p, q):
+    n = len(log_levels)
+    bk = np.concatenate(([0.0], np.cumsum(widths[:n]) / np.sum(widths[:n])))
+    bk[-1] = 1.0
+    vals = 10.0 ** np.array(log_levels)
+    c = 10.0 ** log_c
+    scaled = lorentz_pq_star_norm(make_step(bk, c * vals), p, q)
+    assert math.isfinite(scaled) and scaled > 0.0
+    assert scaled == pytest.approx(c * lorentz_pq_star_norm(make_step(bk, vals), p, q),
+                                   rel=1e-12, abs=0.0)
 
 
 def test_grand_lebesgue_indicator_closed_form():
@@ -196,6 +241,12 @@ def test_space_norm_dispatch_matches_direct_calls_per_kind(kind, mu, w):
         assert np.array_equal(got.eps, want.eps)
         assert np.array_equal(got.slice_values, want.slice_values)
         assert norm_value(f, spec) == want.value
+        # the sampled profiles agree too (space_norm samples none unless asked)
+        got, want = eps_profile(f, spec), space_norm(f, spec, DEFAULT_GRID)
+        assert got.eps.size == DEFAULT_GRID
+        assert np.array_equal(got.eps, want.eps)
+        assert np.array_equal(got.slice_values, want.slice_values)
+        assert (got.value, got.upper) == (want.value, want.upper)
     else:
         assert got == want and norm_value(f, spec) == want
 
@@ -305,7 +356,8 @@ def test_eps_grid_validation():
 
 
 def test_eps_sup_result_profile_and_json():
-    res = grand_lorentz_pq_norm(_chi(0.25), 2.0, 2.0)
+    # the profile is sampled only on request
+    res = grand_lorentz_pq_norm(_chi(0.25), 2.0, 2.0, grid_size=DEFAULT_GRID)
     assert res.eps.size == res.slice_values.size > 0
     assert res.value >= np.max(res.slice_values) - 1e-15
     assert res.endpoint_limit is None  # interior maximizer for this profile
@@ -329,7 +381,7 @@ def test_eps_profile_requires_grand_kind():
 def test_grand_slice_values_against_indicator_formula():
     f = _chi(0.25)
     p, q = 2.0, 2.0
-    res = grand_lorentz_pq_norm(f, p, q)
+    res = eps_profile(f, SpaceSpec("grand_lorentz_pq", p, q))
     sl = grand_lorentz_slice_values(f, p, q, res.eps)
     assert np.all(sl <= res.value + 1e-12)
     want = chi_grand_lorentz_slices(0.25, p, q)(res.eps)
@@ -413,6 +465,37 @@ def _mp_power_sum(levels, bases, s):
         return total ** (1 / mpmath.mpf(s))
 
 
+def _mp_star_norm(breakpoints, levels, p, q, dps=40):
+    """((q/p) int_0^inf t^(q/p-1) f**(t)^q dt)^(1/q) in dps-digit arithmetic
+    for nonincreasing levels on (0, 1) under Lebesgue measure and integer q.
+
+    On a segment f** = a + b/t, so the integrand t^(e-1-q) (a t + b)^q
+    (e = q/p) expands binomially into exact power-rule integrals of
+    positive terms; past t = 1, f** = mass/t in closed form.
+    """
+    assert q == int(q), "the binomial expansion needs integer q"
+    q = int(q)
+    with mpmath.workdps(dps):
+        e = mpmath.mpf(q) / mpmath.mpf(p)
+        bk = [mpmath.mpf(b) for b in breakpoints]
+        total, mass = mpmath.mpf(0), mpmath.mpf(0)
+        for t1, t2, v in zip(bk[:-1], bk[1:], levels):
+            a = mpmath.mpf(v)
+            b = mass - a * t1
+            if b == 0:  # f** = a from t = 0
+                total += a ** q * t2 ** e / e
+            else:  # k-th term: C(q, k) a^k b^(q-k) int_t1^t2 t^(m-1) dt, m = e - q + k
+                terms, coef, p1, p2 = [], b ** q, t1 ** (e - q), t2 ** (e - q)
+                for k in range(q + 1):
+                    m = e - q + k
+                    terms.append(coef * (mpmath.log(t2 / t1) if m == 0 else (p2 - p1) / m))
+                    coef, p1, p2 = coef * (q - k) / (k + 1) * a / b, p1 * t1, p2 * t2
+                total += mpmath.fsum(terms)
+            mass += a * (t2 - t1)
+        total += mass ** q * bk[-1] ** (e - q) / (q - e)
+        return (e * total) ** (mpmath.mpf(1) / q)
+
+
 def _mp_diff_pow(bk, e):
     with mpmath.workdps(60):
         return [mpmath.mpf(b) ** e - mpmath.mpf(a) ** e for a, b in zip(bk[:-1], bk[1:])]
@@ -436,6 +519,31 @@ def test_lorentz_pq_norm_example_value():
     f = make_step([0.0, 0.5, 1.0], [1e3, 1e-3])
     assert lorentz_pq_norm(f, 2.0, 120.0) == pytest.approx(1e3 * math.sqrt(0.5), rel=1e-13)
 
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_lorentz_pq_norm_under_a_dense_measure_matches_mpmath(p):
+    # f* runs to t = 1e10, where t**(q/p) overflows: the bases were inf - inf
+    f = make_step([0.0, 0.5, 1.0], [2.0, 1e-3])
+    mu = MeasureDensity(make_step([0.0, 1.0], [1e10]))
+    got = lorentz_pq_norm(f, p, 40.0, mu)
+    want = _mp_power_sum([2.0, 1e-3], _mp_diff_pow([0.0, 5e9, 1e10], mpmath.mpf(40) / p), 40.0)
+    assert got == pytest.approx(float(want), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_levels=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       widths=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6),
+       log_density=st.floats(-10.0, 10.0),
+       p=st.floats(1.1, 8.0), q=st.floats(0.5, 200.0))
+def test_finite_inputs_never_give_nan(log_levels, widths, log_density, p, q):
+    n = len(log_levels)
+    bk = np.concatenate(([0.0], np.cumsum(widths[:n]) / np.sum(widths[:n])))
+    bk[-1] = 1.0
+    f = make_step(bk, 10.0 ** np.array(log_levels))
+    mu = MeasureDensity(make_step([0.0, 0.5, 1.0], [10.0 ** log_density, 1.0]))
+    for value in (lorentz_pq_norm(f, p, q, mu), lorentz_pq_norm(f, p / 4.0, q, mu),
+                  lorentz_pq_star_norm(f, p, q, mu)):
+        assert math.isfinite(value)  # neither NaN nor inf
 
 def test_lambda_norm_extreme_levels_match_mpmath():
     bk = [0.0, 0.25, 0.5, 1.0]

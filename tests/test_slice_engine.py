@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab import (SpaceSpec, eps_profile, grand_lambda_norm,
+from rlab import (DEFAULT_GRID, SpaceSpec, eps_profile, grand_lambda_norm,
                   grand_lambda_slice_values, grand_lebesgue_norm,
-                  grand_lorentz_pq_norm, grand_lorentz_slice_values, make_step)
+                  grand_lorentz_pq_norm, grand_lorentz_slice_values, make_step,
+                  random_step_function, space_norm)
 from rlab import norms
 from rlab.norms import _slice_closure
 from rlab.weights import PowerWeight
@@ -107,7 +108,7 @@ def test_upper_end_supremum_is_the_one_sided_limit():
         bk = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
         bk[-1] = 1.0
         vals = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 5))
-        res = grand_lorentz_pq_norm(make_step(bk, vals), p, q)
+        res = grand_lorentz_pq_norm(make_step(bk, vals), p, q, grid_size=DEFAULT_GRID)
         # closed form on the decreasing rearrangement, built here by sorting
         order = np.argsort(-vals, kind="stable")
         tk = np.concatenate(([0.0], np.cumsum(widths[order] / widths.sum())))
@@ -130,6 +131,42 @@ def _mp_slice(levels, bases, top, eps):
         return (e * total) ** (1 / s)
 
 
+def _mp_eps_sup(levels, bases, top, scan=240):
+    """sup over 0 < eps < top - 1 of _mp_slice, the one-sided limit at
+    eps = top - 1 included.
+
+    A scan on a uniform grid with extra points clustered at both ends finds
+    the best cell; golden section on its two neighbours then narrows eps to
+    about 1e-30, far below where the flat top of the curve can move the
+    value at double precision.
+    """
+    with mpmath.workdps(60):
+        limit = mpmath.mpf(top) - 1
+        slice_at = lambda e: _mp_slice(levels, bases, top, e)
+        ends = [mpmath.mpf(10) ** -k for k in range(1, 13)]
+        grid = sorted(set([limit * k / scan for k in range(1, scan)]
+                          + [limit * x for x in ends] + [limit * (1 - x) for x in ends]))
+        vals = [slice_at(e) for e in grid]
+        i = max(range(len(grid)), key=vals.__getitem__)
+        a = grid[i - 1] if i > 0 else grid[0] / 10
+        b = grid[i + 1] if i + 1 < len(grid) else limit
+        ratio = (mpmath.sqrt(5) - 1) / 2
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        fc, fd = slice_at(c), slice_at(d)
+        best = max(vals[i], fc, fd, slice_at(limit))
+        while b - a > mpmath.mpf(10) ** -30:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - ratio * (b - a)
+                fc = slice_at(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + ratio * (b - a)
+                fd = slice_at(d)
+            best = max(best, fc, fd)
+        return best
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_grand_kinds_at_extreme_levels_match_mpmath(scale):
     bk = np.array([0.0, 0.25, 0.5, 1.0])
@@ -137,15 +174,17 @@ def test_grand_kinds_at_extreme_levels_match_mpmath(scale):
     f = make_step(bk, levels)
     w = PowerWeight(0.5)
     lengths = np.diff(bk)
+    grid = DEFAULT_GRID  # the profile slices are checked too
     cases = [
-        (grand_lebesgue_norm(f, 2.5), lengths, 2.5),
-        (grand_lorentz_pq_norm(f, 2.0, 3.0), np.diff(bk ** 1.5), 3.0),
-        (grand_lambda_norm(f, 2.0, w), np.diff(bk ** 1.5) / 1.5, 2.0),
+        (grand_lebesgue_norm(f, 2.5, grid), lengths, 2.5),
+        (grand_lorentz_pq_norm(f, 2.0, 3.0, grid_size=grid), np.diff(bk ** 1.5), 3.0),
+        (grand_lambda_norm(f, 2.0, w, grid_size=grid), np.diff(bk ** 1.5) / 1.5, 2.0),
     ]
     for res, bases, top in cases:
         assert math.isfinite(res.value) and res.value > 0.0
         want = _mp_slice(levels, bases, top, res.eps_star)
         assert res.value == pytest.approx(float(want), rel=1e-13)
+        assert res.eps.size == grid
         picks = res.eps[::257]
         got = res.slice_values[::257]
         ref = [float(_mp_slice(levels, bases, top, e)) for e in picks]
@@ -184,3 +223,61 @@ def test_grand_kinds_are_homogeneous(log_levels, widths, log_c, p, q):
     np.testing.assert_allclose(grand_lorentz_slice_values(g, p, q, eps),
                                c * grand_lorentz_slice_values(f, p, q, eps),
                                rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------- certification
+
+def _corpus_terms(f, kind):
+    """(levels, bases, top) of a grand kind on Lebesgue measure, from
+    sorting |f| directly rather than through the library's rearrangement."""
+    widths, vals = np.diff(f.breakpoints), np.abs(f.values)
+    if kind == "grand_lebesgue":
+        return vals, widths, 2.5
+    order = np.argsort(-vals, kind="stable")
+    t = np.concatenate(([0.0], np.cumsum(widths[order])))
+    if kind == "grand_lorentz_pq(2,3)":
+        return vals[order], np.diff(t ** 1.5), 3.0
+    if kind == "grand_lorentz_pq(3,1.5)":
+        return vals[order], np.diff(t ** 0.5), 1.5
+    return vals[order], np.diff(t ** 1.5) / 1.5, 2.5  # lambda_grand(2.5, t^0.5)
+
+
+_CORPUS_KINDS = {
+    "grand_lebesgue": lambda f: grand_lebesgue_norm(f, 2.5),
+    "grand_lorentz_pq(2,3)": lambda f: grand_lorentz_pq_norm(f, 2.0, 3.0),
+    "grand_lorentz_pq(3,1.5)": lambda f: grand_lorentz_pq_norm(f, 3.0, 1.5),
+    "lambda_grand": lambda f: grand_lambda_norm(f, 2.5, PowerWeight(0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CORPUS_KINDS))
+def test_bracket_contains_the_mpmath_supremum(kind):
+    rng = np.random.default_rng(606)
+    for _ in range(6):
+        f = random_step_function(rng, signed=True)
+        res = _CORPUS_KINDS[kind](f)
+        sup = _mp_eps_sup(*_corpus_terms(f, kind))
+        # value is one rounded slice, so it may sit an ulp or two above the
+        # exact supremum; upper is certified and must hold exactly
+        assert res.value <= sup * (1 + 1e-14)
+        assert sup <= res.upper
+        assert (res.upper - res.value) / res.value <= 1e-12
+        assert res.evals <= 256
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_levels=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
+       widths=st.lists(st.floats(1e-4, 1.0), min_size=30, max_size=30),
+       log_c=st.floats(-250.0, 250.0),
+       p=st.floats(1.05, 6.0), q=st.floats(1.05, 6.0))
+def test_bracket_is_certified_and_bounds_the_profile(log_levels, widths, log_c, p, q):
+    n = len(log_levels)
+    bk = np.concatenate(([0.0], np.cumsum(widths[:n]) / np.sum(widths[:n])))
+    bk[-1] = 1.0
+    f = make_step(bk, 10.0 ** (np.array(log_levels) + log_c))
+    for spec in (SpaceSpec("grand_lebesgue", p), SpaceSpec("grand_lorentz_pq", p, q),
+                 SpaceSpec("lambda_grand", p, weight=PowerWeight(0.5))):
+        res = space_norm(f, spec)
+        assert 0.0 < res.value <= res.upper
+        assert (res.upper - res.value) / res.value <= 1e-12
+        assert np.all(eps_profile(f, spec).slice_values <= res.upper)
