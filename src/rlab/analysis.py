@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .norms import SpaceSpec, norm_value
-from .stepfn import StepFunction, make_step
+from .stepfn import StepFunction, _canonical, _Piecewise, make_step
 
 __all__ = [
     "Kernel",
@@ -109,11 +109,9 @@ class Kernel:
     # -- cached geometry -------------------------------------------------
 
     @cached_property
-    def _custom_arrays(self):
-        bk = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bk))))
-        return bk, vals, cum
+    def _step(self) -> "_OpenStep":
+        return _OpenStep(np.asarray(self.breakpoints, dtype=float),
+                         np.asarray(self.values, dtype=float)[:, None])
 
     @cached_property
     def _bump_table(self):
@@ -135,7 +133,7 @@ class Kernel:
     def mass(self) -> float:
         """Integral of the kernel over the line."""
         if self.kind == "custom_step":
-            return float(self._custom_arrays[2][-1])
+            return float(self._step._cum[-1])
         return 1.0
 
     @property
@@ -174,9 +172,7 @@ class Kernel:
             inside = np.abs(u) < 1.0
             out[inside] = np.exp(1.0 / (u[inside] ** 2 - 1.0)) / (raw_mass * hw)
             return out
-        bk, vals, _ = self._custom_arrays
-        idx = np.clip(np.searchsorted(bk, za, side="right") - 1, 0, len(vals) - 1)
-        return np.where((za < bk[0]) | (za >= bk[-1]), 0.0, vals[idx])
+        return self._step._eval(za)
 
     def cdf(self, z):
         """Exact antiderivative: integral of the kernel over (-inf, z]."""
@@ -192,8 +188,7 @@ class Kernel:
         if self.kind == "smooth_bump":
             grid, cdf, _ = self._bump_table
             return np.interp(za / hw, grid, cdf)
-        bk, _, cum = self._custom_arrays
-        return np.interp(za, bk, cum)
+        return self._step.primitive(za)
 
     def scaled(self, t: float) -> "ScaledKernel":
         return ScaledKernel(self, t)
@@ -230,13 +225,7 @@ def custom_step_kernel(breakpoints, values, normalize: bool = True) -> Kernel:
         if mass <= 0:
             raise ValueError("cannot normalize a kernel with zero mass")
         vals = vals / mass
-    # canonical merge of equal adjacent values
-    if len(vals) > 1:
-        keep = np.concatenate(([True], np.diff(vals) != 0))
-        if not np.all(keep):
-            idx = np.flatnonzero(keep)
-            bk = np.concatenate((bk[idx], bk[-1:]))
-            vals = vals[keep]
+    bk, vals = _canonical(bk, vals)
     return Kernel("custom_step", hw, tuple(bk.tolist()), tuple(vals.tolist()))
 
 
@@ -275,7 +264,7 @@ def radial_majorant(phi: Kernel) -> Kernel:
     """
     if phi.kind != "custom_step":
         return phi
-    bk, vals, _ = phi._custom_arrays
+    bk, vals = phi._step.breakpoints, phi._step.coeffs[:, 0]
     u = np.unique(np.concatenate(([0.0], np.abs(bk))))
     seg_hi = np.maximum(np.abs(bk[:-1]), np.abs(bk[1:]))
     env = np.array([vals[seg_hi > lo].max() for lo in u[:-1]])
@@ -333,17 +322,13 @@ class MaximalFunction:
 
     def __init__(self, f: StepFunction):
         self.source = f
-        self._bk = f.breakpoints
-        self._absv = np.abs(f.values)
-        self._cum = np.concatenate(([0.0], np.cumsum(self._absv * np.diff(f.breakpoints))))
+        self._abs = _OpenStep(f.breakpoints, np.abs(f.values)[:, None])
 
     def _sided_values(self, x: np.ndarray):
-        bk, av = self._bk, self._absv
-        ir = np.clip(np.searchsorted(bk, x, side="right") - 1, 0, len(av) - 1)
-        right = np.where((x < 0.0) | (x >= 1.0), 0.0, av[ir])
+        bk, av = self._abs.breakpoints, self._abs.coeffs[:, 0]
         il = np.clip(np.searchsorted(bk, x, side="left") - 1, 0, len(av) - 1)
         left = np.where((x <= 0.0) | (x > 1.0), 0.0, av[il])
-        return left, right
+        return left, self._abs._eval(x)
 
     def __call__(self, x):
         xa = np.asarray(x, dtype=float)
@@ -351,12 +336,12 @@ class MaximalFunction:
             raise ValueError(f"points must be a scalar or a 1-d array, got shape {xa.shape}")
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa).astype(float)
-        bk, cum = self._bk[:, None], self._cum[:, None]
+        bk, cum = self._abs.breakpoints[:, None], self._abs._cum[:, None]
         best = np.empty(len(xa))
         with np.errstate(divide="ignore", invalid="ignore"):
             for blk in _point_blocks(len(xa), len(bk)):
                 xb = xa[None, blk]
-                far = np.interp(2.0 * xb - bk, self._bk, self._cum)
+                far = self._abs.primitive(2.0 * xb - bk)
                 width = 2.0 * np.abs(xb - bk)
                 avgs = np.where(width > 0.0, np.abs(cum - far) / width, 0.0)
                 best[blk] = avgs.max(axis=0)
@@ -366,12 +351,16 @@ class MaximalFunction:
 
     def sample(self, n: int):
         """Midpoint sampling on an n-cell uniform grid over (0, 1)."""
+        if n < 1:
+            raise ValueError("need at least one sample")
         x = (np.arange(n) + 0.5) / n
         return x, self(x)
 
     def cell_average_step(self, n: int, panels: int = 4) -> StepFunction:
         """Step function of per-cell averages (composite Simpson per cell),
         accurate enough that pointwise domination survives cell averaging."""
+        if n < 1:
+            raise ValueError("need at least one cell")
         edges = np.linspace(0.0, 1.0, n + 1)
         m = 2 * panels
         offs = np.linspace(0.0, 1.0, m + 1)
@@ -407,15 +396,19 @@ def convolution_values(phi_t: ScaledKernel, f: StepFunction, x) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class PiecewisePoly:
+class PiecewisePoly(_Piecewise):
     """Piecewise polynomial of degree <= 2 with local coefficients.
 
     On cell i the value is c0 + c1*u + c2*u^2 with u = x - breakpoints[i];
-    outside the breakpoint range the function is 0.
+    outside the closed breakpoint range the function is 0.
     """
 
     breakpoints: np.ndarray
     coeffs: np.ndarray  # shape (n_cells, 3)
+
+    @property
+    def _coef(self) -> np.ndarray:
+        return self.coeffs
 
     @classmethod
     def from_step(cls, f: StepFunction) -> "PiecewisePoly":
@@ -424,37 +417,7 @@ class PiecewisePoly:
         coeffs[:, 0] = f.values
         return cls(f.breakpoints.copy(), coeffs)
 
-    def __call__(self, x):
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa)
-        bk = self.breakpoints
-        idx = np.clip(np.searchsorted(bk, xa, side="right") - 1, 0, len(self.coeffs) - 1)
-        u = xa - bk[idx]
-        c = self.coeffs[idx]
-        out = c[:, 0] + u * (c[:, 1] + u * c[:, 2])
-        out = np.where((xa < bk[0]) | (xa > bk[-1]), 0.0, out)
-        return float(out[0]) if scalar else out
-
-    @cached_property
-    def _cell_integrals(self) -> np.ndarray:
-        w = np.diff(self.breakpoints)
-        c = self.coeffs
-        return c[:, 0] * w + c[:, 1] * w**2 / 2.0 + c[:, 2] * w**3 / 3.0
-
-    def cumulative(self, x) -> np.ndarray:
-        """Integral from the left end of the domain up to x (vectorized)."""
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        bk = self.breakpoints
-        cum = np.concatenate(([0.0], np.cumsum(self._cell_integrals)))
-        idx = np.clip(np.searchsorted(bk, xa, side="right") - 1, 0, len(self.coeffs) - 1)
-        u = np.clip(xa - bk[idx], 0.0, None)
-        c = self.coeffs[idx]
-        partial = u * (c[:, 0] + u * (c[:, 1] / 2.0 + u * c[:, 2] / 3.0))
-        out = cum[idx] + partial
-        out = np.where(xa <= bk[0], 0.0, out)
-        out = np.where(xa >= bk[-1], cum[-1], out)
-        return out
+    cumulative = _Piecewise.primitive  # integral from the left end up to x
 
     def integral(self, a: float, b: float) -> float:
         lo, hi = self.cumulative(np.array([a, b]))
@@ -465,9 +428,8 @@ class PiecewisePoly:
         breakpoints that lie inside [new_bk[0], new_bk[-1]])."""
         bk = self.breakpoints
         left = new_bk[:-1]
-        idx = np.searchsorted(bk, left, side="right") - 1
-        inside = (idx >= 0) & (left < bk[-1])
-        idx = np.clip(idx, 0, len(self.coeffs) - 1)
+        idx = self.segment(left)
+        inside = (left >= bk[0]) & (left < bk[-1])
         u0 = left - bk[idx]
         c = self.coeffs[idx]
         out = np.zeros((len(left), 3))
@@ -488,6 +450,13 @@ class PiecewisePoly:
 
     def __sub__(self, other):
         return self._combine(_as_poly(other), -1.0)
+
+
+class _OpenStep(PiecewisePoly):
+    """A step (one coefficient column) that is 0 from its last breakpoint
+    on: a custom kernel's density and |f| inside MaximalFunction."""
+
+    closed = False
 
 
 def _as_poly(g) -> PiecewisePoly:
@@ -632,6 +601,8 @@ def convergence_sweep(f: StepFunction, phi: Kernel, t_list: Sequence[float],
     ts = [float(t) for t in t_list]
     if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_list must be positive and strictly decreasing")
+    if cells < 2:
+        raise ValueError("need at least two cells")
     mf_step = maximal(f).cell_average_step(cells)
     mnorm = norm_value(mf_step, spec, grid_size)
     rows = []

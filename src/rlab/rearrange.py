@@ -22,11 +22,12 @@ piecewise a + b/t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .stepfn import LEBESGUE, MeasureDensity, StepFunction, merge_segment_grids
+from .stepfn import LEBESGUE, MeasureDensity, StepFunction, _Piecewise, merge_segment_grids
 
 __all__ = [
     "DistributionFunction",
@@ -48,26 +49,30 @@ def _abs_segments(f: StepFunction, mu: MeasureDensity):
 
 
 @dataclass(frozen=True, eq=False)
-class DistributionFunction:
+class DistributionFunction(_Piecewise):
     """lambda(y) = mu{|f| > y} as a right-continuous step in y >= 0.
 
     knots are the distinct values of |f| (0 prepended), measures[k] is the
     value of lambda on [knots[k], knots[k+1]); beyond the largest value
-    lambda is 0.
+    lambda is 0.  As a piecewise step its breakpoints are the knots with
+    +inf appended, so the zero function's single knot still has a segment.
     """
 
     knots: np.ndarray
     measures: np.ndarray
 
-    def __call__(self, y):
-        ya = np.asarray(y, dtype=float)
-        scalar = ya.ndim == 0
-        ya = np.atleast_1d(ya)
-        if np.any(ya < 0):
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        return np.append(self.knots, np.inf)
+
+    @property
+    def _coef(self) -> np.ndarray:
+        return self.measures[:, None]
+
+    def _eval(self, y):
+        if np.any(y < 0):
             raise ValueError("distribution function is defined for y >= 0")
-        idx = np.searchsorted(self.knots, ya, side="right") - 1
-        out = self.measures[np.clip(idx, 0, len(self.measures) - 1)]
-        return float(out[0]) if scalar else out
+        return super()._eval(y)
 
 
 def distribution(f: StepFunction, mu: Optional[MeasureDensity] = None) -> DistributionFunction:
@@ -84,31 +89,24 @@ def distribution(f: StepFunction, mu: Optional[MeasureDensity] = None) -> Distri
 
 
 @dataclass(frozen=True, eq=False)
-class Rearrangement:
+class Rearrangement(_Piecewise):
     """Decreasing rearrangement f* of |f| onto (0, mu(X)).
 
     breakpoints run from 0 to max(1, total); values are nonincreasing and
     nonnegative, with the zero extension up to 1 made explicit when the
     total mass is below 1.  Right-continuous: the value at a breakpoint is
-    the right segment's.
+    the right segment's; 0 from the last breakpoint on, and f*(t) = f*(0)
+    for t < 0.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
     total: float
 
-    def __call__(self, t):
-        ta = np.asarray(t, dtype=float)
-        scalar = ta.ndim == 0
-        ta = np.atleast_1d(ta)
-        idx = np.searchsorted(self.breakpoints, ta, side="right") - 1
-        out = np.where(
-            ta >= self.breakpoints[-1],
-            0.0,
-            self.values[np.clip(idx, 0, len(self.values) - 1)],
-        )
-        out = np.where(ta < 0.0, self.values[0], out)
-        return float(out[0]) if scalar else out
+    closed = False
+
+    def _eval(self, t):
+        return np.where(t < 0.0, self.values[0], super()._eval(t))
 
     def segments(self, upper: Optional[float] = None):
         """(breakpoints, values) clipped to (0, upper)."""
@@ -117,9 +115,6 @@ class Rearrangement:
         cut = np.searchsorted(self.breakpoints, upper, side="left")
         bk = np.concatenate((self.breakpoints[:cut], [upper]))
         return bk, self.values[: len(bk) - 1]
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
 
 
 def rearrangement(f: StepFunction, mu: Optional[MeasureDensity] = None) -> Rearrangement:
@@ -151,14 +146,14 @@ def rearrangement(f: StepFunction, mu: Optional[MeasureDensity] = None) -> Rearr
 
 
 @dataclass(frozen=True, eq=False)
-class AverageFunction:
+class AverageFunction(_Piecewise):
     """f**(t) = (1/t) * integral of f* over (0, t), stored per segment as
     a + b/t.
 
     Segment i covers (breakpoints[i], breakpoints[i+1]) with coefficients
     (a[i], b[i]); beyond the last breakpoint f**(t) = tail_mass / t where
     tail_mass is the total integral of f*.  Continuous and nonincreasing
-    on (0, infinity).
+    on (0, infinity); a + b/t is not a polynomial piece, so no primitive.
     """
 
     breakpoints: np.ndarray
@@ -166,29 +161,18 @@ class AverageFunction:
     b: np.ndarray
     tail_mass: float
 
-    def __call__(self, t):
-        ta = np.asarray(t, dtype=float)
-        scalar = ta.ndim == 0
-        ta = np.atleast_1d(ta)
-        if np.any(ta <= 0):
+    def _eval(self, t):
+        if np.any(t <= 0):
             raise ValueError("average function is defined for t > 0")
-        idx = np.clip(np.searchsorted(self.breakpoints, ta, side="right") - 1, 0, len(self.a) - 1)
-        out = np.where(
-            ta >= self.breakpoints[-1],
-            self.tail_mass / ta,
-            self.a[idx] + self.b[idx] / ta,
-        )
-        return float(out[0]) if scalar else out
+        idx = self.segment(t)
+        return np.where(t >= self.breakpoints[-1], self.tail_mass / t,
+                        self.a[idx] + self.b[idx] / t)
 
 
 def average(fstar: Rearrangement) -> AverageFunction:
     """Exact running average of a rearrangement."""
-    bk = fstar.breakpoints
-    vals = fstar.values
-    cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bk))))
-    a = vals
-    b = cum[:-1] - vals * bk[:-1]
-    return AverageFunction(bk, a, b, float(cum[-1]))
+    bk, vals, cum = fstar.breakpoints, fstar.values, fstar._cum
+    return AverageFunction(bk, vals, cum[:-1] - vals * bk[:-1], float(cum[-1]))
 
 
 def measure_gap(fn: StepFunction, f: StepFunction, y: float,

@@ -12,6 +12,7 @@ outside [0, 1] every function evaluates to 0 (zero extension).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -39,8 +40,78 @@ def _as_float_array(x) -> np.ndarray:
     return np.atleast_1d(a)
 
 
+def _canonical(bk: np.ndarray, vals: np.ndarray):
+    """Merge adjacent segments with exactly equal values."""
+    if len(vals) > 1:
+        keep = np.concatenate(([True], np.diff(vals) != 0))
+        if not np.all(keep):
+            idx = np.flatnonzero(keep)
+            return np.concatenate((bk[idx], bk[-1:])), vals[keep]
+    return bk, vals
+
+
+class _Piecewise:
+    """Breakpoints plus per-segment coefficients: the one piecewise type
+    under StepFunction, f*, lambda, f**, PiecewisePoly and step kernels.
+
+    ``_coef`` holds c0, c1, c2 of c0 + c1*u + c2*u^2 (u = x - breakpoints[i])
+    per segment, or c0 alone for a step.  Values are right-continuous and 0
+    left of the grid; at the last breakpoint a ``closed`` function keeps its
+    last value (a StepFunction at 1) and an open one is 0 (f*, a kernel).
+    """
+
+    closed = True
+
+    @property
+    def _coef(self) -> np.ndarray:
+        return self.values[:, None]
+
+    def segment(self, x) -> np.ndarray:
+        """Right-continuous segment index of x, clipped to the grid."""
+        bk = self.breakpoints
+        return np.clip(np.searchsorted(bk, x, side="right") - 1, 0, len(bk) - 2)
+
+    def _eval(self, x: np.ndarray) -> np.ndarray:
+        bk, coef, idx = self.breakpoints, self._coef, self.segment(x)
+        out = coef[idx, 0]
+        if coef.shape[1] > 1:
+            u = x - bk[idx]
+            out = out + u * (coef[idx, 1] + u * coef[idx, 2])
+        past = x > bk[-1] if self.closed else x >= bk[-1]
+        return np.where((x < bk[0]) | past, 0.0, out)
+
+    def __call__(self, x):
+        """Evaluate at a scalar (giving a float) or an array (same shape)."""
+        xa = np.asarray(x, dtype=float)
+        out = self._eval(xa)
+        return float(out) if xa.ndim == 0 else out
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        w, c = np.diff(self.breakpoints), self._coef
+        cells = c[:, 0] * w
+        if c.shape[1] > 1:
+            cells = cells + c[:, 1] * w**2 / 2.0 + c[:, 2] * w**3 / 3.0
+        return np.concatenate(([0.0], np.cumsum(cells)))
+
+    def primitive(self, x):
+        """Exact integral from the first breakpoint up to x, constant past
+        the grid, in the shape of x."""
+        bk, coef, cum = self.breakpoints, self._coef, self._cum
+        if coef.shape[1] == 1:
+            return np.interp(x, bk, cum)
+        xa = np.asarray(x, dtype=float)
+        idx = self.segment(xa)
+        u = np.clip(xa - bk[idx], 0.0, None)
+        out = cum[idx] + u * (coef[idx, 0] + u * (coef[idx, 1] / 2.0 + u * coef[idx, 2] / 3.0))
+        return np.where(xa >= bk[-1], cum[-1], np.where(xa <= bk[0], 0.0, out))
+
+    def is_zero(self) -> bool:
+        return bool(np.all(self._coef == 0.0))
+
+
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_Piecewise):
     """Piecewise-constant function on (0, 1).
 
     Attributes
@@ -77,13 +148,7 @@ class StepFunction:
             raise ValueError("breakpoints must run from 0 to 1")
         if not np.all(np.diff(bk) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        # canonical form: merge adjacent segments with identical values
-        if len(vals) > 1:
-            keep = np.concatenate(([True], np.diff(vals) != 0))
-            if not np.all(keep):
-                vals = vals[keep]
-                idx = np.flatnonzero(keep)
-                bk = np.concatenate((bk[idx], bk[-1:]))
+        bk, vals = _canonical(bk, vals)
         bk.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bk)
@@ -91,27 +156,12 @@ class StepFunction:
 
     # -- basic queries ------------------------------------------------
 
-    def __call__(self, x):
-        """Evaluate at x (scalar or array); right value at breakpoints,
-        0 outside [0, 1]."""
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa)
-        idx = np.searchsorted(self.breakpoints, xa, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        out = self.values[idx]
-        out = np.where((xa < 0.0) | (xa > 1.0), 0.0, out)
-        return float(out[0]) if scalar else out
-
     @property
     def segment_lengths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
 
     # -- operator sugar (thin wrappers over pointwise) ------------------
 
@@ -179,9 +229,7 @@ class MeasureDensity:
 
     def primitive(self, t):
         """mu((0, t)) for t in [0, 1], exact: linear inside each segment."""
-        bk = self.density.breakpoints
-        cum = np.concatenate(([0.0], np.cumsum(self.density.values * np.diff(bk))))
-        return np.interp(t, bk, cum)
+        return self.density.primitive(t)
 
     def interval_mass(self, a: float, b: float) -> float:
         """mu((a, b)) for 0 <= a <= b <= 1."""

@@ -365,6 +365,24 @@ def test_convergence_sweep_validation():
         convergence_sweep(CHI, box_kernel(), [0.1, -0.05], spec)
 
 
+def test_non_positive_sizes_are_rejected(monkeypatch):
+    M = maximal(CHI)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="at least one sample"):
+            M.sample(n)
+        with pytest.raises(ValueError, match="at least one cell"):
+            M.cell_average_step(n)
+
+    def no_maximal(f):
+        raise AssertionError("cells must be checked before the maximal function is built")
+
+    monkeypatch.setattr(analysis, "maximal", no_maximal)
+    spec = SpaceSpec("lorentz_pq", 2.0, 2.0)
+    for cells in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least two cells"):
+            convergence_sweep(CHI, box_kernel(), [0.1], spec, cells=cells)
+
+
 def test_sweep_csv_format():
     spec = SpaceSpec("lambda_grand", p=2.0, weight=PowerWeight(0.0))
     res = convergence_sweep(CHI, box_kernel(), [0.2, 0.1], spec,

@@ -297,6 +297,23 @@ def test_exit_code_on_missing_required_flag(capsys):
     capsys.readouterr()
 
 
+SWEEP_ARGS = ["mollify-sweep", "--fn", CHI_JSON, "--kernel", '{"kind": "box"}',
+              "--t-list", "0.1", "--spec", L22]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["maximal", "--fn", CHI_JSON, "--samples", "0"], "at least one sample"),
+    (["maximal", "--fn", CHI_JSON, "--samples", "-4"], "at least one sample"),
+    (SWEEP_ARGS + ["--cells", "0"], "at least two cells"),
+    (SWEEP_ARGS + ["--cells", "1"], "at least two cells"),
+], ids=["samples-0", "samples-neg", "cells-0", "cells-1"])
+def test_exit_code_on_non_positive_sizes(argv, message, capsys):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("validation error") and message in err
+
+
 # f** = f on (0, 1] and f/t past 1: the (2, 2) norm is 1.5e308 * sqrt(2),
 # past the float range
 HUGE_JSON = '{"breakpoints": [0.0, 1.0], "values": [1.5e308]}'

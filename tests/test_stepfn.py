@@ -1,10 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rlab import (LEBESGUE, IntervalSet, MeasureDensity, StepFunction,
-                  characteristic, integrate, level_measure, make_step,
+from rlab import (LEBESGUE, IntervalSet, MeasureDensity, PiecewisePoly,
+                  StepFunction, characteristic, custom_step_kernel,
+                  distribution, integrate, level_measure, make_step,
                   measure_from_json, measure_to_json, pointwise,
-                  step_from_json, step_to_json)
+                  rearrangement, step_from_json, step_to_json)
 from rlab.stepfn import merge_segment_grids
 
 
@@ -146,3 +149,70 @@ def test_random_functions_evaluate_on_own_segments():
         f = StepFunction(bk, vals)
         mids = 0.5 * (f.breakpoints[:-1] + f.breakpoints[1:])
         assert np.array_equal(f(mids), f.values)
+
+
+# ------------------------------------------------- the shared piecewise type
+
+_F = make_step([0.0, 0.5, 1.0], [3.0, -2.0])
+_QUAD = PiecewisePoly(np.array([0.2, 0.6]), np.array([[1.0, 2.0, 3.0]]))
+
+
+@pytest.mark.parametrize("fn, x, want", [
+    (_F, 1.0, -2.0),                                  # a step keeps its last value at 1
+    (_F, 1.0 + 1e-12, 0.0),                           # and is 0 past 1
+    (rearrangement(_F), 1.0, 0.0),                    # f* is 0 at its end
+    (rearrangement(_F), -0.1, 3.0),                   # f*(-0.1) = f*(0)
+    (distribution(_F), 3.0, 0.0),                     # lambda is 0 at max |f|
+    (distribution(_F), 7.5, 0.0),                     # and past it
+    (distribution(make_step([0.0, 1.0], [0.0])), 0.0, 0.0),  # lambda of the zero function
+    (custom_step_kernel([-1.0, 0.0, 1.0], [1.0, 3.0], False).density, 1.0, 0.0),  # kernel at +h
+    (custom_step_kernel([-1.0, 0.0, 1.0], [1.0, 3.0], False).density, -1.0, 1.0),  # and at -h
+    (_QUAD, 0.6, 1.0 + 2.0 * 0.4 + 3.0 * 0.4**2),     # PiecewisePoly on its closed grid
+    (_QUAD, 0.2 - 1e-12, 0.0),                        # and 0 outside it
+    (_QUAD, 0.6 + 1e-12, 0.0),
+], ids=["step-at-1", "step-past-1", "fstar-end", "fstar-left", "lambda-max",
+        "lambda-past-max", "lambda-zero", "kernel-plus-h", "kernel-minus-h",
+        "poly-end", "poly-left", "poly-right"])
+def test_end_rules_at_each_boundary(fn, x, want):
+    assert float(fn(x)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def _exact_integral(bk, coeffs, a, b):
+    """Integral over (a, b) of the zero-extended pieces, summed per segment
+    in 40-digit arithmetic, and the sum of the absolute segment integrals."""
+    mp = mpmath.mpf
+    with mpmath.workdps(40):
+        total = scale = mp(0)
+        for i in range(len(bk) - 1):
+            left, right = mp(bk[i]), mp(bk[i + 1])
+            c0, c1, c2 = (mp(v) for v in coeffs[i])
+            w = right - left
+            scale += abs(c0) * w + abs(c1) * w**2 / 2 + abs(c2) * w**3 / 3
+            lo, hi = max(mp(a), left) - left, min(mp(b), right) - left
+            if hi > lo:
+                total += c0 * (hi - lo) + c1 * (hi**2 - lo**2) / 2 + c2 * (hi**3 - lo**3) / 3
+        return total, scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(interior=st.lists(st.floats(0.01, 0.99), max_size=8, unique=True),
+       coeffs=st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3), min_size=9, max_size=9),
+       ends=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+       step=st.booleans())
+def test_primitive_matches_an_exact_segment_sum(interior, coeffs, ends, step):
+    bk = np.array([0.0, *sorted(interior), 1.0])
+    c = np.array(coeffs[: len(bk) - 1])
+    if step:
+        c[:, 0] = np.abs(c[:, 0])  # nonnegative, so it is also a measure density
+        c[:, 1:] = 0.0
+    a, b = sorted(ends)
+    exact, scale = _exact_integral(bk, c, a, b)
+    tol = 1e-13 * float(scale)
+    poly = PiecewisePoly(bk, c)
+    got = [poly.primitive(b) - poly.primitive(a), poly.cumulative(b) - poly.cumulative(a)]
+    if step:
+        f = make_step(bk, c[:, 0])
+        got += [f.primitive(b) - f.primitive(a),
+                MeasureDensity(f).primitive(b) - MeasureDensity(f).primitive(a)]
+    for value in got:
+        assert abs(float(value) - float(exact)) <= tol
