@@ -3,7 +3,7 @@ Embedding checks between weighted Lorentz spaces
 ================================================
 
 Three ways to look at an embedding: verify a sufficient weight condition
-on a grid, measure an empirical constant on a random corpus, and watch a
+in closed form, measure an empirical constant on a random corpus, and watch a
 necessary condition fail through a family of shrinking sets.
 """
 
@@ -31,7 +31,7 @@ verdict = wholds_check(2.0, 3.0, dead)
 print("zero weight, p=2 -> q=3:")
 print(f"  holds = {verdict.holds}, condition value = {verdict.condition_value}")
 
-# two different weights: compare their primitives on a grid
+# two different weights: compare their masses, again in closed form
 v = PowerWeight(alpha=0.0, coeff=4.0)
 verdict = cross_weight_check(2.0, 2.0, PowerWeight(alpha=0.0), v)
 print("cross-weight condition, W(t) = t vs V(t) = 4t:")

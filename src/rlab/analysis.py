@@ -588,8 +588,7 @@ class SweepResult:
 
 
 def convergence_sweep(f: StepFunction, phi: Kernel, t_list: Sequence[float],
-                      spec: SpaceSpec, cells: int = 4096,
-                      grid_size: Optional[int] = None) -> SweepResult:
+                      spec: SpaceSpec, cells: int = 4096) -> SweepResult:
     """Approximate-identity sweep: for each scale t record the norm of
     phi_t * f - f, the norm of phi_t * f, and its ratio to the maximal
     function's norm.
@@ -604,15 +603,15 @@ def convergence_sweep(f: StepFunction, phi: Kernel, t_list: Sequence[float],
     if cells < 2:
         raise ValueError("need at least two cells")
     mf_step = maximal(f).cell_average_step(cells)
-    mnorm = norm_value(mf_step, spec, grid_size)
+    mnorm = norm_value(mf_step, spec)
     rows = []
     for t in ts:
         conv = convolve(phi.scaled(t), f)
         diff = conv - f
-        err = norm_value(step_approximate(diff, cells), spec, grid_size)
-        err_fine = norm_value(step_approximate(diff, 2 * cells), spec, grid_size)
+        err = norm_value(step_approximate(diff, cells), spec)
+        err_fine = norm_value(step_approximate(diff, 2 * cells), spec)
         drift = abs(err - err_fine) / max(err, 1e-300)
-        cnorm = norm_value(step_approximate(conv, cells), spec, grid_size)
+        cnorm = norm_value(step_approximate(conv, cells), spec)
         rows.append(SweepRow(
             t=t, err=err, conv_norm=cnorm, maximal_norm=mnorm,
             ratio=cnorm / mnorm if mnorm > 0 else math.inf,

@@ -7,10 +7,10 @@ fixed command line and seed.  Exit codes: 0 success, 1 validation error,
 2 computation error (e.g. quadrature non-convergence or overflow).
 
 The eps-grid size defaults to 2048, overridden by the RLAB_GRID
-environment variable and then by --grid; CSV outputs record it in a
-comment header.  norm needs no grid: a grand norm comes from the
-certified branch-and-bound, and samples its eps profile only when
---grid or RLAB_GRID asks for one.
+environment variable and then by --grid.  Only norm (a grand norm's
+sampled profile, none unless asked for), eps-profile (whose CSV header
+records the size) and the downward check of embed-check read a grid; the
+other answers are closed forms or come from the certified branch-and-bound.
 """
 from __future__ import annotations
 
@@ -59,14 +59,12 @@ def _load_json_arg(text: str):
 
 
 def _resolve_grid(args) -> Optional[int]:
-    grid = getattr(args, "grid", None)
-    if grid is None:
-        env = os.environ.get("RLAB_GRID")
-        if env:
-            try:
-                grid = int(env)
-            except ValueError:
-                raise ValueError(f"RLAB_GRID must be an integer, got {env!r}")
+    grid, env = args.grid, os.environ.get("RLAB_GRID")
+    if grid is None and env:
+        try:
+            grid = int(env)
+        except ValueError:
+            raise ValueError(f"RLAB_GRID must be an integer, got {env!r}")
     if grid is not None and grid < 8:
         raise ValueError("grid size must be at least 8")
     return grid
@@ -125,12 +123,7 @@ def _cmd_maximal(args) -> int:
     return 0
 
 
-def _verdict_text(v: EmbeddingVerdict) -> str:
-    return json.dumps(v.to_json()) + "\n"
-
-
 def _cmd_embed_check(args) -> int:
-    grid = _resolve_grid(args)
     kind = args.check
     if kind in ("wholds", "cross-weight", "downward"):
         if args.p is None or args.q is None:
@@ -139,16 +132,16 @@ def _cmd_embed_check(args) -> int:
             raise ValueError(f"--weight is required for {kind}")
         w = weight_from_json(_load_json_arg(args.weight))
         if kind == "wholds":
-            verdict = wholds_check(args.p, args.q, w, grid)
+            verdict = wholds_check(args.p, args.q, w)
         else:
             if args.target_weight is None:
                 raise ValueError(f"--target-weight is required for {kind}")
             v = weight_from_json(_load_json_arg(args.target_weight))
             if kind == "cross-weight":
-                verdict = cross_weight_check(args.p, args.q, w, v, grid)
+                verdict = cross_weight_check(args.p, args.q, w, v)
             else:
-                verdict = downward_check(args.p, args.q, w, v,
-                                         upper=args.upper, grid_size=grid)
+                verdict = downward_check(args.p, args.q, w, v, upper=args.upper,
+                                         grid_size=_resolve_grid(args))
     elif kind in ("domination", "mutual-ac"):
         if args.mu is None or args.nu is None:
             raise ValueError(f"--mu and --nu are required for {kind}")
@@ -168,9 +161,8 @@ def _cmd_embed_check(args) -> int:
             raise ValueError("--source and --target are required for empirical")
         source = spacespec_from_json(_load_json_arg(args.source))
         target = spacespec_from_json(_load_json_arg(args.target))
-        verdict = empirical_constant(source, target, args.corpus_size,
-                                     args.seed, grid)
-    _emit(args, _verdict_text(verdict))
+        verdict = empirical_constant(source, target, args.corpus_size, args.seed)
+    _emit(args, json.dumps(verdict.to_json()) + "\n")
     return 0
 
 
@@ -182,27 +174,23 @@ def _parse_float_list(text: str) -> list:
 
 
 def _cmd_embed_probe(args) -> int:
-    grid = _resolve_grid(args)
     a_list = _parse_float_list(args.a_list)
-    report = shrinking_probe(args.p, args.q, args.r, args.s, a_list, grid)
+    report = shrinking_probe(args.p, args.q, args.r, args.s, a_list)
     buf = io.StringIO()
-    note = (f"grid={grid or DEFAULT_GRID} p={_fmt(args.p)} q={_fmt(args.q)} "
-            f"r={_fmt(args.r)} s={_fmt(args.s)}")
+    note = f"p={_fmt(args.p)} q={_fmt(args.q)} r={_fmt(args.r)} s={_fmt(args.s)}"
     report.to_csv(buf, header_note=note)
     _emit(args, buf.getvalue())
     return 0
 
 
 def _cmd_mollify_sweep(args) -> int:
-    grid = _resolve_grid(args)
     f = step_from_json(_load_json_arg(args.fn))
     kernel = kernel_from_json(_load_json_arg(args.kernel))
     spec = spacespec_from_json(_load_json_arg(args.spec))
     t_list = _parse_float_list(args.t_list)
-    result = convergence_sweep(f, kernel, t_list, spec, cells=args.cells,
-                               grid_size=grid)
+    result = convergence_sweep(f, kernel, t_list, spec, cells=args.cells)
     buf = io.StringIO()
-    result.to_csv(buf, header_note=f"grid={grid or DEFAULT_GRID} kernel={kernel.kind}")
+    result.to_csv(buf, header_note=f"kernel={kernel.kind}")
     _emit(args, buf.getvalue())
     return 0
 
@@ -230,15 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, grid=None, **kwargs):  # grid: the help of --grid, for verbs that read one
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=fn)
-        p.add_argument("--grid", type=int, default=None,
-                       help="eps-grid size (default 2048 or RLAB_GRID)")
+        if grid:
+            p.add_argument("--grid", type=int, default=None, help=grid)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         return p
 
-    p = add("norm", _cmd_norm, help="evaluate a norm; prints the value")
+    p = add("norm", _cmd_norm, help="evaluate a norm; prints the value",
+            grid="size of a grand norm's sampled eps profile, reported by --out "
+                 "(default none, or RLAB_GRID)")
     p.add_argument("--spec", required=True, help="SpaceSpec JSON (inline or path)")
     p.add_argument("--fn", required=True, help="StepFunction JSON (inline or path)")
 
@@ -253,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True)
     p.add_argument("--samples", type=int, default=1024)
 
-    p = add("embed-check", _cmd_embed_check, help="inclusion condition verdict")
+    p = add("embed-check", _cmd_embed_check, help="inclusion condition verdict",
+            grid="downward: eps-grid size (default 2048 or RLAB_GRID); "
+                 "the other checks read no grid")
     p.add_argument("--check", required=True,
                    choices=["wholds", "cross-weight", "downward",
                             "domination", "mutual-ac", "empirical"])
@@ -287,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, default=4096)
 
     p = add("eps-profile", _cmd_eps_profile,
-            help="grand-norm eps profile as CSV")
+            help="grand-norm eps profile as CSV",
+            grid="eps-grid size (default 2048 or RLAB_GRID)")
     p.add_argument("--fn", required=True)
     p.add_argument("--spec", required=True, help="grand-kind SpaceSpec JSON")
 

@@ -1,10 +1,10 @@
 """Inclusion conditions between grand Lorentz spaces and measures.
 
-Condition checks evaluate their defining quantity on the clustered eps
-grid and report the grid supremum; "if and only if" statements are probed
-one-sidedly (condition implies a norm inequality on a seeded corpus, and
-non-embedding is witnessed by shrinking indicator sets) since universal
-quantification over all functions is not decidable numerically.
+The weight conditions give their exact sup over eps in closed form, the
+downward and slice checks theirs on the clustered eps grid.  "If and only
+if" statements are probed one-sidedly (condition implies a norm inequality
+on a seeded corpus, non-embedding is witnessed by shrinking indicator sets)
+since universal quantification over functions is not numerically decidable.
 """
 from __future__ import annotations
 
@@ -20,15 +20,13 @@ from .norms import (SpaceSpec, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
 from .quadrature import QuadratureError, integrate_batch
 from .stepfn import MeasureDensity, StepFunction, characteristic, merge_segment_grids, step_to_json
-from .weights import PowerWeight, Weight, WeightPrimitive, _as_weight, w_primitive
+from .weights import PowerWeight, Weight, _as_weight
 
 __all__ = [
     "EmbeddingVerdict",
     "ProbeRow",
     "ProbeReport",
     "SliceDominationReport",
-    "WeightPrimitive",
-    "w_primitive",
     "wholds_check",
     "cross_weight_check",
     "downward_check",
@@ -45,7 +43,7 @@ __all__ = [
 class EmbeddingVerdict:
     """Outcome of an inclusion check.
 
-    condition_value is the checked quantity (sup over the eps grid, or an
+    condition_value is the checked quantity (a sup over eps, or an
     empirical max ratio); for condition checks holds is its finiteness.
     """
 
@@ -79,47 +77,66 @@ def _ordered_pair(lo: float, hi: float, lo_name: str, hi_name: str,
     return lo, hi
 
 
-def _grid_sup(eps: np.ndarray, vals: np.ndarray) -> EmbeddingVerdict:
-    """Verdict from a condition sampled on the eps grid: its largest value,
-    which holds iff finite, with the eps where it sits as witness."""
-    i = int(np.argmax(vals))
-    value = float(vals[i])
+def _verdict(value: float, eps: float) -> EmbeddingVerdict:
+    """Verdict for a sup over eps reached at eps: it holds iff finite."""
     return EmbeddingVerdict(condition_value=value, holds=math.isfinite(value),
-                            witness=f"eps={eps[i]:.17g}")
+                            witness=f"eps={eps:.17g}")
 
 
-def wholds_check(p: float, q: float, w: Weight,
-                 grid_size: Optional[int] = None) -> EmbeddingVerdict:
-    """Same-weight inclusion condition: sup over the eps grid in (0, p-1)
-    of W(1)^(1/(q-eps) - 1/(p-eps)), finite iff the inclusion constant is.
+def _mass(w: Weight) -> tuple:
+    """W(1) and log W(1), the log of a power weight from its parameters: finite
+    even where coeff/(alpha+1) overflows or underflows."""
+    w = _as_weight(w)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        mass = float(w.primitive(1.0))
+        return mass, float(np.log(w.coeff) - np.log1p(w.alpha) if isinstance(w, PowerWeight)
+                           else np.log(mass))
 
-    Needs 1 < p <= q.
+
+def _weight_sup(p: float, q: float, w: tuple, v: tuple) -> EmbeddingVerdict:
+    """sup over 0 < eps < p-1 of W^(1/(q-eps)) V^(-1/(p-eps)) for the _mass
+    pairs (W, a) and (V, b), a maybe -inf: the best log among eps = 0, p-1
+    and, if ab > 0, the critical point sqrt|a| (p-eps) = sqrt|b| (q-eps) moved
+    into range (the other root of a (p-eps)^2 = b (q-eps)^2 has eps >= p).
+    Raises OverflowError or FloatingPointError past either end of the float range."""
+    (w1, a), (v1, b) = w, v
+    ra, rb = math.sqrt(abs(a)), math.sqrt(abs(b))
+    crit = rb * (q - p) / (ra - rb) if 0.0 < a * b < math.inf and ra != rb else p
+    d = np.clip([p, 1.0, crit], 1.0, p)  # p - eps at eps = 0, p-1 and the critical point
+    log = a / (q - p + d) - b / d
+    i = int(np.argmax(log))  # ties go to eps = 0
+    x, y = 1.0 / (q - p + float(d[i])), 1.0 / float(d[i])
+    # pow of a normal float mass beats exp of its rounded log; the log serves the rest
+    normal = np.finfo(float).tiny <= min(w1, v1) and max(w1, v1) < math.inf
+    value = (w1 ** (x - y) if w1 == v1 else w1**x * v1**-y) if normal else math.exp(log[i])
+    if math.isinf(value) or (value == 0.0 and log[i] > -math.inf):  # math.exp raises itself
+        raise (FloatingPointError if value == 0.0 else OverflowError)(
+            "the weight condition lies outside the float range")
+    return _verdict(value, p - float(d[i]))
+
+
+def wholds_check(p: float, q: float, w: Weight) -> EmbeddingVerdict:
+    """Same-weight inclusion condition, for 1 < p <= q: the exact sup over
+    eps in (0, p-1) of W(1)^(1/(q-eps) - 1/(p-eps)), finite iff the inclusion
+    constant is; the exponent is monotone, so the witness is eps = 0 or p-1.
     """
     p, q = _ordered_pair(p, q, "p", "q", strict=False)
-    w1 = w_primitive(w).at_one
-    eps = eps_grid(p - 1.0, grid_size)
-    expo = 1.0 / (q - eps) - 1.0 / (p - eps)
-    if w1 == 0.0:
-        vals = np.where(expo < 0, math.inf, np.where(expo == 0, 1.0, 0.0))
-    else:
-        vals = w1**expo
-    return _grid_sup(eps, vals)
+    m = _mass(w)
+    if m[1] == -math.inf:  # W(1) = 0: W(1)^expo is inf for p < q, 1 for p = q
+        return _verdict(math.inf if p < q else 1.0, 0.0)
+    return _weight_sup(p, q, m, m)
 
 
-def cross_weight_check(p: float, q: float, w: Weight, v: Weight,
-                       grid_size: Optional[int] = None) -> EmbeddingVerdict:
-    """Two-weight inclusion condition: sup over the eps grid in (0, p-1)
-    of W(1)^(1/(q-eps)) * V(1)^(-1/(p-eps)).
-
-    Needs 1 < p <= q and V(1) > 0.
+def cross_weight_check(p: float, q: float, w: Weight, v: Weight) -> EmbeddingVerdict:
+    """Two-weight inclusion condition, for 1 < p <= q and V(1) > 0: the exact
+    sup over eps in (0, p-1) of W(1)^(1/(q-eps)) * V(1)^(-1/(p-eps)) (see
+    _weight_sup); the witness is the eps where it sits.
     """
     p, q = _ordered_pair(p, q, "p", "q", strict=False)
-    w1 = w_primitive(w).at_one
-    v1 = w_primitive(v).at_one
-    if v1 <= 0.0:
+    m = _mass(v)
+    if m[1] == -math.inf:
         raise ValueError("degenerate target weight: V(1) = 0")
-    eps = eps_grid(p - 1.0, grid_size)
-    return _grid_sup(eps, w1 ** (1.0 / (q - eps)) * v1 ** (-1.0 / (p - eps)))
+    return _weight_sup(p, q, _mass(w), m)
 
 
 class _ExtendedWeight:
@@ -205,10 +222,10 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
         else:
             total += res.value.reshape(n, pieces).sum(axis=1)
         if n < len(eps):
-            return EmbeddingVerdict(condition_value=math.inf, holds=False,
-                                    witness=f"eps={eps[n]:.17g}")
+            return _verdict(math.inf, eps[n])
         values = total ** (1.0 / (r - eps))
-    return _grid_sup(eps, values)
+    i = int(np.argmax(values))
+    return _verdict(float(values[i]), eps[i])
 
 
 def domination_constant(mu: MeasureDensity, nu: MeasureDensity) -> float:
@@ -233,7 +250,7 @@ def mutual_ac(mu: MeasureDensity, nu: MeasureDensity) -> bool:
 
 
 def empirical_constant(source: SpaceSpec, target: SpaceSpec, corpus_size: int,
-                       seed: int, grid_size: Optional[int] = None) -> EmbeddingVerdict:
+                       seed: int) -> EmbeddingVerdict:
     """Max ratio target-norm/source-norm over a seeded random corpus
     (generator: corpus.random_step_function, version 1); the witness is the
     maximizing function."""
@@ -245,18 +262,14 @@ def empirical_constant(source: SpaceSpec, target: SpaceSpec, corpus_size: int,
     best_idx = -1
     for i in range(corpus_size):
         f = random_step_function(rng)
-        sn = norm_value(f, source, grid_size)
-        tn = norm_value(f, target, grid_size)
+        sn = norm_value(f, source)
+        tn = norm_value(f, target)
         if sn == 0.0:
             if tn > 0.0:
                 return EmbeddingVerdict(
-                    condition_value=math.inf,
-                    holds=False,
+                    condition_value=math.inf, holds=False, seed=seed,
                     witness=f"corpus[{i}] has source norm 0, target norm {tn:.17g}: "
-                            + json.dumps(step_to_json(f)),
-                    empirical_constant=None,
-                    seed=seed,
-                )
+                            + json.dumps(step_to_json(f)))
             continue
         ratio = tn / sn
         if ratio > best:
@@ -264,13 +277,8 @@ def empirical_constant(source: SpaceSpec, target: SpaceSpec, corpus_size: int,
     witness = None
     if best_fn is not None:
         witness = f"corpus[{best_idx}]: " + json.dumps(step_to_json(best_fn))
-    return EmbeddingVerdict(
-        condition_value=best,
-        holds=math.isfinite(best),
-        witness=witness,
-        empirical_constant=best,
-        seed=seed,
-    )
+    return EmbeddingVerdict(condition_value=best, holds=math.isfinite(best), witness=witness,
+                            empirical_constant=best, seed=seed)
 
 
 def _check_probe_exponents(p: float, q: float, r: float, s: float):
@@ -331,8 +339,7 @@ class ProbeReport:
 
 
 def shrinking_probe(p: float, q: float, r: float, s: float,
-                    a_list: Sequence[float],
-                    grid_size: Optional[int] = None) -> ProbeReport:
+                    a_list: Sequence[float]) -> ProbeReport:
     """Grand Lorentz norms of chi_(0,a) in the source (p,q) and target
     (r,s) spaces over Lebesgue measure, for each a in a_list."""
     p, q, r, s = _check_probe_exponents(p, q, r, s)
@@ -342,8 +349,8 @@ def shrinking_probe(p: float, q: float, r: float, s: float,
         if not 0.0 < a <= 1.0:
             raise ValueError("probe sets need a in (0, 1]")
         f = characteristic([(0.0, a)])
-        src = grand_lorentz_pq_norm(f, p, q, grid_size=grid_size).value
-        tgt = grand_lorentz_pq_norm(f, r, s, grid_size=grid_size).value
+        src = grand_lorentz_pq_norm(f, p, q).value
+        tgt = grand_lorentz_pq_norm(f, r, s).value
         rows.append(ProbeRow(a=a, source_norm=src, target_norm=tgt,
                              ratio=tgt / src if src > 0 else math.inf))
     return ProbeReport(p=p, q=q, r=r, s=s, rows=rows)

@@ -389,8 +389,8 @@ def space_norm(f: StepFunction, spec: SpaceSpec,
     return EpsSupResult(value, None, None, value, 0) if grand else value
 
 
-def norm_value(f: StepFunction, spec: SpaceSpec, grid_size: Optional[int] = None) -> float:
-    out = space_norm(f, spec, grid_size)
+def norm_value(f: StepFunction, spec: SpaceSpec) -> float:
+    out = space_norm(f, spec)
     return out.value if isinstance(out, EpsSupResult) else float(out)
 
 

@@ -346,7 +346,7 @@ def test_domination_random_triangle():
 def test_convergence_sweep_indicator():
     spec = SpaceSpec("lambda_grand", p=2.0, weight=PowerWeight(0.0))
     res = convergence_sweep(CHI, box_kernel(), [0.2, 0.1, 0.05, 0.025],
-                            spec, cells=1024, grid_size=256)
+                            spec, cells=1024)
     errs = [r.err for r in res.rows]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     for row in res.rows:
@@ -386,7 +386,7 @@ def test_non_positive_sizes_are_rejected(monkeypatch):
 def test_sweep_csv_format():
     spec = SpaceSpec("lambda_grand", p=2.0, weight=PowerWeight(0.0))
     res = convergence_sweep(CHI, box_kernel(), [0.2, 0.1], spec,
-                            cells=256, grid_size=64)
+                            cells=256)
     buf = io.StringIO()
     res.to_csv(buf, header_note="demo")
     lines = buf.getvalue().splitlines()

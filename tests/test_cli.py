@@ -163,16 +163,25 @@ def test_embed_check_missing_parameters(capsys):
     assert "required" in err
 
 
+def test_embed_check_overflowing_sup_exits_2(capsys):
+    # W(1) = 1e300 / 1.1e-16: the cross-weight sup, W(1) itself, is past the float range
+    code, out, err = _run(capsys, [
+        "embed-check", "--check", "cross-weight", "--p", "2", "--q", "2",
+        "--weight", '{"power_weight": {"alpha": -0.9999999999999999, "coeff": 1e300}}',
+        "--target-weight", '{"power_weight": {"alpha": 0.0}}'])
+    assert code == 2 and out == ""
+    assert "OverflowError" in err
+
+
 # ---------------------------------------------------------------- embed-probe
 
 def test_embed_probe_csv(capsys):
     code, out, _ = _run(capsys, ["embed-probe", "--p", "2", "--q", "2",
                                  "--r", "4", "--s", "4",
-                                 "--a-list", "1e-4,1e-5,1e-6",
-                                 "--grid", "128"])
+                                 "--a-list", "1e-4,1e-5,1e-6"])
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("# grid=128 p=2 q=2 r=4 s=4")
+    assert lines[0] == "# p=2 q=2 r=4 s=4"
     assert lines[1] == "a,source_norm,target_norm,ratio"
     assert len(lines) == 5
     ratios = [float(line.split(",")[3]) for line in lines[2:]]
@@ -193,12 +202,12 @@ def test_mollify_sweep_csv(capsys):
     code, out, _ = _run(capsys, [
         "mollify-sweep", "--fn", CHI_JSON,
         "--kernel", '{"kind": "box", "half_width": 1.0}',
-        "--t-list", "0.2,0.1", "--cells", "256", "--grid", "64",
+        "--t-list", "0.2,0.1", "--cells", "256",
         "--spec", '{"kind": "lambda_grand", "p": 2,'
                   ' "weight": {"power_weight": {"alpha": 0.0}}}'])
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "# grid=64 kernel=box"
+    assert lines[0] == "# kernel=box"
     assert lines[1].startswith("# cells=256 max_err_drift=")
     assert lines[2] == "t,err,conv_norm,maximal_norm,ratio"
     assert len(lines) == 5
@@ -254,11 +263,30 @@ def test_grid_too_small(capsys):
     assert code == 1
 
 
+def test_grid_only_on_verbs_that_read_one(capsys, monkeypatch):
+    code, _, err = _run(capsys, ["rearrange", "--fn", CHI_JSON, "--grid", "8"])
+    assert code == 1
+    assert "--grid" in err
+    for argv in (["maximal", "--fn", CHI_JSON, "--samples", "4", "--grid", "8"],
+                 ["embed-probe", "--p", "2", "--q", "2", "--r", "4", "--s", "4",
+                  "--a-list", "0.5", "--grid", "8"],
+                 ["mollify-sweep", "--fn", CHI_JSON, "--kernel", '{"kind": "box"}',
+                  "--t-list", "0.1", "--spec", L22, "--grid", "8"]):
+        assert _run(capsys, argv)[0] == 1
+    monkeypatch.setenv("RLAB_GRID", "many")  # read by no verb below
+    assert _run(capsys, ["rearrange", "--fn", CHI_JSON])[0] == 0
+    assert _run(capsys, ["embed-probe", "--p", "2", "--q", "2", "--r", "4", "--s", "4",
+                         "--a-list", "0.5"])[0] == 0
+    code, out, _ = _run(capsys, ["embed-check", "--check", "wholds", "--p", "2", "--q", "3",
+                                 "--weight", '{"power_weight": {"alpha": 1.0}}'])
+    assert code == 0 and json.loads(out)["condition_value"] == 1.4142135623730951
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_probe_output_is_deterministic(tmp_path, capsys):
     argv = ["embed-probe", "--p", "2", "--q", "1.5", "--r", "3", "--s", "3",
-            "--a-list", "1e-2,1e-3", "--grid", "64"]
+            "--a-list", "1e-2,1e-3"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert run(argv + ["--out", str(a)]) == 0

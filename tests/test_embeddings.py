@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rlab import (MeasureDensity, QuadratureError, SpaceSpec, atom_bound,
                   characteristic, cross_weight_check, domination_constant,
@@ -74,6 +75,108 @@ def test_cross_weight_heavier_target():
 def test_cross_weight_degenerate_target():
     with pytest.raises(ValueError):
         cross_weight_check(2.0, 2.0, ONE, PowerWeight(0.0, 0.0))
+
+
+# ---------------------------------------------------------------- exact weight suprema
+
+def _mp_weight_sup(p, q, w1, v1, scan=200):
+    """sup over 0 < eps < p-1 of W^(1/(q-eps)) V^(-1/(p-eps)) in 40 digits,
+    from the exact masses w1, v1 (mpf): a uniform scan of the log, endpoints
+    included, then golden section on the best cell's neighbours down to an
+    eps width of 1e-30."""
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        a, b = mpmath.log(w1), mpmath.log(v1)
+        log_at = lambda e: a / (q - e) - b / (p - e)
+        grid = [(p - 1) * k / scan for k in range(scan + 1)]
+        vals = [log_at(e) for e in grid]
+        i = max(range(len(grid)), key=vals.__getitem__)
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, scan)]
+        ratio, best = (mpmath.sqrt(5) - 1) / 2, vals[i]
+        while hi - lo > mpmath.mpf(10) ** -30:
+            c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+            fc, fd = log_at(c), log_at(d)
+            best = max(best, fc, fd)
+            if fc >= fd:
+                hi = d
+            else:
+                lo = c
+        return mpmath.exp(best)
+
+
+def _witness_eps(out):
+    assert out.witness.startswith("eps=")
+    return float(out.witness[4:])
+
+
+MASSES = st.one_of(st.just(0.0), st.just(1.0), st.floats(-6.0, 6.0).map(lambda k: 10.0**k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.floats(1.0, 5.0, exclude_min=True), dq=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+       w1=MASSES, v1=MASSES.filter(lambda m: m > 0.0))
+@example(p=3.0, dq=1.0, w1=math.exp(10.0), v1=math.exp(3.6))  # cross's sup inside, at eps = 1.5
+def test_weight_conditions_are_exact_suprema(p, dq, w1, v1):
+    # both checks against a 40-digit sup, the default eps grid and their own witness
+    q = p + dq
+    eps = eps_grid(p - 1.0, 2048) if p - 1.0 > 1e-5 else np.empty(0)
+    ew, ev = 1.0 / (q - eps), 1.0 / (p - eps)
+    with np.errstate(divide="ignore"):
+        # wholds' exponent 1/(q-eps) - 1/(p-eps), written without its cancellation
+        cases = [(wholds_check(p, q, PowerWeight(0.0, w1)), w1, w1, w1 ** ((p - q) * ew * ev)),
+                 (cross_weight_check(p, q, PowerWeight(0.0, w1), PowerWeight(0.0, v1)),
+                  w1, v1, w1**ew * v1**-ev)]
+    for out, w, v, samples in cases:
+        if w == 0.0 and w == v:  # W(1) = 0 in wholds: 0^expo, expo < 0 iff p < q
+            want = math.inf if q > p else 1.0
+        else:
+            want = float(_mp_weight_sup(p, q, mpmath.mpf(w), mpmath.mpf(v)))
+        assert math.isclose(out.condition_value, want, rel_tol=1e-13, abs_tol=0.0)
+        assert out.holds == math.isfinite(want)
+        assert 0.0 <= _witness_eps(out) <= p - 1.0
+        # the float samples carry a few ulp of rounding of their own
+        assert all(out.condition_value >= x * (1 - 2**-50) for x in samples)
+
+
+def test_wholds_readme_example_is_sqrt2():
+    # w = t: W(1) = 1/2, and (1/2)^(1/(3-eps) - 1/(2-eps)) rises to sqrt 2 as eps -> 1
+    out = wholds_check(2.0, 3.0, PowerWeight(1.0))
+    assert out.condition_value == math.sqrt(2.0)
+    assert out.witness == "eps=1"
+
+
+HUGE = PowerWeight(-0.9999999999999999, 1e300)  # W(1) = 1e300 / 1.1e-16 overflows
+
+
+def _mp_mass(w):
+    return mpmath.mpf(w.coeff) / (mpmath.mpf(w.alpha) + 1)
+
+
+def test_weight_conditions_with_an_overflowing_mass():
+    with mpmath.workdps(40):
+        mass = _mp_mass(HUGE)
+        assert mass > mpmath.mpf(np.finfo(float).max)
+        cross = _mp_weight_sup(2.0, 3.0, mass, mpmath.mpf(1))
+        same = _mp_weight_sup(2.0, 3.0, mass, mass)
+    # exp of a log near 364 carries ~1e-13 of relative rounding
+    out = cross_weight_check(2.0, 3.0, HUGE, ONE)
+    assert out.holds and out.condition_value == pytest.approx(float(cross), rel=1e-12)
+    out = wholds_check(2.0, 3.0, HUGE)
+    assert out.holds and out.condition_value == pytest.approx(float(same), rel=1e-12)
+    assert out.condition_value == pytest.approx(2.19e-53, rel=1e-2)
+
+
+def test_weight_conditions_outside_the_float_range_raise():
+    with mpmath.workdps(40):
+        big = _mp_weight_sup(2.0, 2.0, _mp_mass(HUGE), mpmath.mpf(1))
+        tiny_w = PowerWeight(-0.9999999999999999, 1.7e308)
+        tiny = _mp_weight_sup(1.0001, 1e300, _mp_mass(tiny_w), _mp_mass(tiny_w))
+    assert big > mpmath.mpf(np.finfo(float).max)  # finite, but past the largest float
+    with pytest.raises(OverflowError):
+        cross_weight_check(2.0, 2.0, HUGE, ONE)
+    assert 0 < tiny < mpmath.mpf(2) ** -1075  # positive, but below half the least float
+    with pytest.raises(FloatingPointError):
+        wholds_check(1.0001, 1e300, tiny_w)
 
 
 # ---------------------------------------------------------------- downward
@@ -294,7 +397,7 @@ def test_domination_slice_unbounded_pair():
 
 def test_empirical_constant_identity_is_one():
     spec = SpaceSpec("grand_lorentz_pq", p=2.0, q=2.0)
-    out = empirical_constant(spec, spec, corpus_size=8, seed=77, grid_size=128)
+    out = empirical_constant(spec, spec, corpus_size=8, seed=77)
     assert out.holds
     assert out.condition_value == 1.0
     assert out.empirical_constant == 1.0
@@ -306,8 +409,8 @@ def test_empirical_constant_identity_is_one():
 def test_empirical_constant_is_seed_deterministic():
     src = SpaceSpec("grand_lorentz_pq", p=2.0, q=1.5)
     tgt = SpaceSpec("grand_lorentz_pq", p=2.0, q=2.5)
-    a = empirical_constant(src, tgt, corpus_size=6, seed=5, grid_size=128)
-    b = empirical_constant(src, tgt, corpus_size=6, seed=5, grid_size=128)
+    a = empirical_constant(src, tgt, corpus_size=6, seed=5)
+    b = empirical_constant(src, tgt, corpus_size=6, seed=5)
     assert a.condition_value == b.condition_value
     assert a.witness == b.witness
 
@@ -316,7 +419,7 @@ def test_empirical_constant_nested_secondary_index():
     # larger q on the same p only dilutes the sup: ratios stay modest
     src = SpaceSpec("grand_lorentz_pq", p=2.0, q=1.5)
     tgt = SpaceSpec("grand_lorentz_pq", p=2.0, q=2.5)
-    out = empirical_constant(src, tgt, corpus_size=12, seed=9, grid_size=128)
+    out = empirical_constant(src, tgt, corpus_size=12, seed=9)
     assert out.holds and 0.0 < out.condition_value < 10.0
 
 
@@ -352,7 +455,7 @@ def test_shrinking_probe_diverges_at_drop_rate():
     # ratio of chi_(0,a) norms grows like a^{1/r-1/p} as a -> 0, i.e.
     # 10^{1/p-1/r} per decade; the rate needs a well past the unit scale
     rep = shrinking_probe(2.0, 2.0, 4.0, 4.0,
-                          [1e-4, 1e-5, 1e-6, 1e-7, 1e-8], grid_size=512)
+                          [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     assert all(row.ratio > 0 for row in rep.rows)
     ratios = [row.ratio for row in rep.rows]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -362,7 +465,7 @@ def test_shrinking_probe_diverges_at_drop_rate():
 
 
 def test_shrinking_probe_rows_and_csv():
-    rep = shrinking_probe(2.0, 1.5, 3.0, 3.5, [0.5, 0.05], grid_size=256)
+    rep = shrinking_probe(2.0, 1.5, 3.0, 3.5, [0.5, 0.05])
     assert [row.a for row in rep.rows] == [0.5, 0.05]
     for row in rep.rows:
         assert row.ratio == pytest.approx(row.target_norm / row.source_norm,
@@ -385,9 +488,9 @@ def test_shrinking_probe_validation():
 
 
 def test_probe_consistent_with_direct_norms():
-    rep = shrinking_probe(2.0, 2.0, 4.0, 4.0, [0.25], grid_size=256)
+    rep = shrinking_probe(2.0, 2.0, 4.0, 4.0, [0.25])
     f = characteristic([(0.0, 0.25)])
-    src = grand_lorentz_pq_norm(f, 2.0, 2.0, grid_size=256).value
-    tgt = grand_lorentz_pq_norm(f, 4.0, 4.0, grid_size=256).value
+    src = grand_lorentz_pq_norm(f, 2.0, 2.0).value
+    tgt = grand_lorentz_pq_norm(f, 4.0, 4.0).value
     assert rep.rows[0].source_norm == src
     assert rep.rows[0].target_norm == tgt
