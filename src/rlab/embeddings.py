@@ -139,6 +139,19 @@ def cross_weight_check(p: float, q: float, w: Weight, v: Weight) -> EmbeddingVer
     return _weight_sup(p, q, _mass(w), m)
 
 
+def _normal_mass(w: Weight) -> tuple:
+    """w and k with W(1) a normal float, scaled by 2^-k if it was not: a
+    power weight whose coeff/(alpha+1) overflows or underflows gets its
+    coeff scaled exactly, by the power of 2 nearest its log mass; any other
+    weight comes back as it is, with k = 0."""
+    w = _as_weight(w)
+    if (not isinstance(w, PowerWeight) or w.coeff == 0.0
+            or np.finfo(float).tiny <= w.coeff / (w.alpha + 1.0) < math.inf):
+        return w, 0
+    k = round(_mass(w)[1] / math.log(2.0))
+    return PowerWeight(w.alpha, math.ldexp(w.coeff, -k)), k
+
+
 class _ExtendedWeight:
     """Weight with density and primitive on (0, upper]; beyond t = 1 the
     density continues with its value at 1 (constant extension).  Up to its
@@ -183,12 +196,16 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     eps below that one, go through one integrate_batch call at rel_tol; a
     non-finite estimate there also counts as divergence at its eps.
     upper defaults to 1 (the ambient interval); larger values extend both
-    weights beyond 1 by their density at 1.
+    weights beyond 1 by their density at 1.  A power weight whose mass W(1)
+    is not a normal float is first scaled by a power of 2 (_normal_mass),
+    and the values are then taken back through their logs.
     """
     q, p = _ordered_pair(q, p, "q", "p", strict=True)
     r = p * q / (p - q)
     if not (np.isfinite(upper) and upper >= 1.0):
         raise ValueError("upper must be >= 1")
+    # the integrand (W/V)^beta w scales by 2^(kw + (kw-kv) beta) with the weights
+    (w, kw), (v, kv) = _normal_mass(w), _normal_mass(v)
     ew, ev = _ExtendedWeight(w), _ExtendedWeight(v)
     if not ev.c0 > 0:
         raise ValueError("target weight primitive vanishes near 0")
@@ -223,7 +240,10 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
             total += res.value.reshape(n, pieces).sum(axis=1)
         if n < len(eps):
             return _verdict(math.inf, eps[n])
-        values = total ** (1.0 / (r - eps))
+        if kw == kv == 0:
+            values = total ** (1.0 / (r - eps))
+        else:
+            values = np.exp((np.log(total) + (kw + (kw - kv) * beta) * math.log(2.0)) / (r - eps))
     i = int(np.argmax(values))
     return _verdict(float(values[i]), eps[i])
 

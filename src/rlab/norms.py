@@ -340,7 +340,9 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
 
     For q = inf, top is inf and base is t**(1/p) at each segment's right end,
     so the norm is max(levels * base).  t_weight (Lorentz kinds only) is an
-    extra weight on the t-integral, exact for step and power weights.
+    extra weight on the t-integral, exact for step and power weights; where
+    f*'s grid runs past 1 (lorentz_pq under a mass above 1) a step weight
+    keeps its value at 1 and a power weight its formula.
     Not for lorentz_pq_star, whose f** is not a step function.
     """
     if spec.kind == "grand_lebesgue":
@@ -354,7 +356,8 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
     bk, levels = fstar.segments(None if spec.kind == "lorentz_pq" else 1.0)
     # 1-homogeneous: the last breakpoint (1 for the grand kinds) moves into
     # the levels, so bk**(q/p) cannot overflow to a NaN base inf - inf
-    bk, levels = bk / bk[-1], levels * bk[-1] ** (1.0 / p)
+    end = bk[-1]
+    bk, levels = bk / end, levels * end ** (1.0 / p)
     if math.isinf(q):
         # on each segment t^{1/p} increases, so the per-segment sup sits at
         # the right endpoint
@@ -366,8 +369,9 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
         expo = q / p + w.alpha
         if expo <= 0:
             raise ValueError("t-weight power too singular at 0 for this q/p")
-        return levels, (q / p) * w.coeff * np.diff(bk**expo) / expo, q
-    mbk, mv, mw = merge_segment_grids(bk, levels, w.density.breakpoints, w.density.values)
+        # w(end s) = w.coeff end^alpha s^alpha on the rescaled grid
+        return levels, (q / p) * w.coeff * end**w.alpha * np.diff(bk**expo) / expo, q
+    mbk, mv, mw = merge_segment_grids(bk, levels, w.density.breakpoints / end, w.density.values)
     return mv, mw * np.diff(mbk ** (q / p)), q
 
 

@@ -275,13 +275,26 @@ class IntervalSet:
 def merge_segment_grids(bk_a, va, bk_b, vb):
     """Resample two segment lists onto their common refinement.
 
-    Both grids must share endpoints.  Returns (bk, va_on_bk, vb_on_bk).
+    Returns (bk, va_on_bk, vb_on_bk) with bk the sorted union of both grids.
+    Each segment of bk takes, from each grid, the value of the segment that
+    contains it; outside a grid's range that grid's nearest end segment
+    applies, so the grids need not share endpoints.  Linear in the larger
+    grid: only the smaller grid's points are searched into it, and a grid's
+    segment index on bk is the running count of its own points, less one.
     """
-    bk = np.union1d(bk_a, bk_b)
-    mids = 0.5 * (bk[:-1] + bk[1:])
-    ia = np.clip(np.searchsorted(bk_a, mids, side="right") - 1, 0, len(va) - 1)
-    ib = np.clip(np.searchsorted(bk_b, mids, side="right") - 1, 0, len(vb) - 1)
-    return bk, np.asarray(va)[ia], np.asarray(vb)[ib]
+    swap = len(bk_a) < len(bk_b)
+    big, small = (np.asarray(bk_b), np.asarray(bk_a)) if swap else (np.asarray(bk_a), np.asarray(bk_b))
+    pos = np.searchsorted(big, small)
+    new = np.take(big, pos, mode="clip") != small  # small points not on the big grid
+    at = pos + np.cumsum(new) - new  # each small point's index in bk
+    bk = np.empty(len(big) + int(np.count_nonzero(new)), dtype=np.result_type(big, small))
+    on_big, on_small = np.ones(len(bk), dtype=bool), np.zeros(len(bk), dtype=bool)
+    on_big[at[new]] = False
+    on_small[at] = True
+    bk[at], bk[on_big] = small, big
+    i_big, i_small = np.cumsum(on_big[:-1]) - 1, np.cumsum(on_small[:-1]) - 1
+    ia, ib = (i_small, i_big) if swap else (i_big, i_small)
+    return bk, np.take(va, ia, mode="clip"), np.take(vb, ib, mode="clip")
 
 
 def _coerce_operand(g) -> StepFunction:

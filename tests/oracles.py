@@ -24,6 +24,18 @@ def brute_distribution(breakpoints, values, mu_breakpoints, mu_values, y):
     return np.array([lens[fv > yv].sum() for yv in ya])
 
 
+def midpoint_merge(bk_a, va, bk_b, vb):
+    """Two segment lists on their common refinement, each merged segment
+    looked up at its float midpoint and clipped to both ends of each grid:
+    the union1d/searchsorted formula merge_segment_grids had before it went
+    linear.  Exact wherever every midpoint lies strictly inside its segment."""
+    bk = np.union1d(bk_a, bk_b)
+    mids = 0.5 * (bk[:-1] + bk[1:])
+    ia = np.clip(np.searchsorted(bk_a, mids, side="right") - 1, 0, len(va) - 1)
+    ib = np.clip(np.searchsorted(bk_b, mids, side="right") - 1, 0, len(vb) - 1)
+    return bk, np.asarray(va)[ia], np.asarray(vb)[ib]
+
+
 def bisection_rearrangement(breakpoints, values, mu_breakpoints, mu_values,
                             ts, iters=80):
     """f*(t) = inf{y >= 0 : lambda(y) <= t} by bisection, vectorized in t.

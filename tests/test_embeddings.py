@@ -271,6 +271,28 @@ def test_downward_power_pairs_match_mpmath(p, q, w, v, upper):
     assert out.witness == f"eps={eps_grid(q - 1.0, 8)[best]:.17g}"
 
 
+def test_downward_with_an_overflowing_mass():
+    # p = r = 3, so beta = 1 at every eps and the integrand is W/V = t/V(t):
+    # t^(-alpha_v)/V(1) on (0, 1), and t/(V(1) + c_v (t - 1)) past 1.  V(1) =
+    # 9.0e315 overflows a float; the value was a silent 0.0 at both uppers
+    eps = eps_grid(0.5)
+    with mpmath.workdps(40):
+        v1, c = _mp_mass(HUGE), mpmath.mpf(HUGE.coeff)
+        near = 1 / (v1 * (1 - mpmath.mpf(HUGE.alpha)))
+        far = mpmath.quad(lambda t: t / (1 + c / v1 * (t - 1)), [1, 2]) / v1
+        # the total is below 1, so the sup sits at the smallest eps
+        want = [float(total ** (1 / (3 - mpmath.mpf(eps[0])))) for total in (near, near + far)]
+        # w = v: the integrand is w itself, the total V(1) > 1, the sup at the largest eps
+        same = float(v1 ** (1 / (3 - mpmath.mpf(eps[-1]))))
+    assert want[0] == pytest.approx(3.8e-106, rel=1e-2)
+    for upper, value in zip((1.0, 2.0), want):
+        out = downward_check(3.0, 1.5, ONE, HUGE, upper=upper)
+        assert out.holds and out.condition_value == pytest.approx(value, rel=1e-12)
+        assert out.witness == f"eps={eps[0]:.17g}"
+    out = downward_check(3.0, 1.5, HUGE, HUGE)  # was nan: inf/inf
+    assert out.holds and out.condition_value == pytest.approx(same, rel=1e-12)
+
+
 def _step_downward_loop(p, q, w, v, upper, grid_size):
     """downward_check for step weights one eps and one knot interval at a
     time, as (values over the grid, grid): the reference for the batch."""

@@ -13,7 +13,7 @@ from rlab import (DEFAULT_GRID, MeasureDensity, SpaceSpec, average, characterist
                   integrate_adaptive, lambda_norm, lorentz_pq_norm, lorentz_pq_star_norm,
                   make_step, norm_value, rearrangement, space_norm,
                   spacespec_from_json, spacespec_to_json)
-from rlab.norms import EpsSupResult
+from rlab.norms import EpsSupResult, _terms
 from rlab.weights import PowerWeight
 
 from oracles import chi_grand_lorentz_slices, uniform_grid_eps_sup
@@ -399,6 +399,22 @@ def test_slice_values_measure_and_weight_arguments():
     weighted = grand_lorentz_slice_values(f, 2.0, 2.0, eps,
                                           t_weight=PowerWeight(0.0))
     assert np.allclose(weighted, base, rtol=1e-12)
+
+
+def test_t_weight_past_one_keeps_its_value_at_one():
+    # under a mass-2 measure f = 1 has f* = 1 on (0, 2), and the weighted
+    # sum is (q/p) int_0^2 w(t) t^(q/p-1) dt; past t = 1 a step weight keeps
+    # its value at 1 (the merge's end rule) and a power weight its formula
+    f = make_step([0.0, 1.0], [1.0])
+    mu = MeasureDensity(make_step([0.0, 1.0], [2.0]))
+    step = make_step([0.0, 0.5, 1.0], [1.0, 3.0])
+    for p, q in ((2.0, 2.0), (2.0, 3.0)):
+        s = q / p
+        cases = ((step, 0.5**s + 3.0 * (2.0**s - 0.5**s)),   # 3 on (0.5, 2)
+                 (PowerWeight(1.0), s * 2.0 ** (s + 1.0) / (s + 1.0)))
+        for w, want in cases:
+            levels, base, top = _terms(f, SpaceSpec("lorentz_pq", p, q, measure=mu), w)
+            assert float(np.sum(base * levels**top)) == pytest.approx(want, rel=1e-14)
 
 
 def test_slice_values_reject_bad_t_weight():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rlab import (LEBESGUE, MeasureDensity, average, characteristic,
+from rlab import (LEBESGUE, MeasureDensity, StepFunction, average, characteristic,
                   distribution, make_step, measure_gap, rearrangement)
 from rlab.stepfn import merge_segment_grids
 
@@ -188,3 +189,102 @@ def test_scaling_equivariance():
 
 def pointwise_scale(f, c):
     return make_step(f.breakpoints, f.values * c)
+
+
+# ------------------------------------------ exactness against a stable sort
+
+def _abs_segments_ref(f, mu):
+    # the merge has its own exactness tests (test_stepfn.py)
+    bk, fv, wv = merge_segment_grids(f.breakpoints, f.values,
+                                     mu.density.breakpoints, mu.density.values)
+    return np.abs(fv), wv * np.diff(bk)
+
+
+def _stable_rearrangement(f, mu):
+    """f* from a stable sort, each tie group's lengths summed one by one in
+    index order."""
+    vals, lens = _abs_segments_ref(f, mu)
+    total = float(lens.sum())
+    keep = lens > 0
+    vals, lens = vals[keep], lens[keep]
+    if len(vals) == 0 or np.all(vals == 0.0):
+        return np.array([0.0, max(1.0, total)]), np.array([0.0]), total
+    order = np.argsort(-vals, kind="stable")
+    levels, sums = [], []
+    for v, length in zip(vals[order], lens[order]):
+        if levels and levels[-1] == v:
+            sums[-1] += length
+        else:
+            levels.append(v)
+            sums.append(length)
+    bk = np.concatenate(([0.0], np.cumsum(sums)))
+    bk[-1] = total
+    levels = np.array(levels)
+    if levels[-1] == 0.0:
+        levels, bk = levels[:-1], bk[:-1]
+    if bk[-1] < max(1.0, total):
+        bk, levels = np.append(bk, max(1.0, total)), np.append(levels, 0.0)
+    return bk, levels, total
+
+
+def _stable_distribution(f, mu):
+    vals, lens = _abs_segments_ref(f, mu)
+    knots = np.unique(np.concatenate(([0.0], vals)))
+    order = np.argsort(vals, kind="stable")
+    suffix = np.concatenate((np.cumsum(lens[order][::-1])[::-1], [0.0]))
+    return knots, suffix[np.searchsorted(vals[order], knots, side="right")]
+
+
+def _assert_matches_stable_sort(f, mu):
+    fs, lam = rearrangement(f, mu), distribution(f, mu)
+    bk, levels, total = _stable_rearrangement(f, mu)
+    assert np.array_equal(fs.breakpoints, bk) and np.array_equal(fs.values, levels)
+    assert fs.total == total
+    knots, measures = _stable_distribution(f, mu)
+    assert np.array_equal(lam.knots, knots) and np.array_equal(lam.measures, measures)
+
+
+def test_ties_sum_in_stable_order():
+    # levels from {0, 0.5, 1, 2} with random signs: tie groups of up to
+    # thousands of segments with distinct lengths, whose sums depend on
+    # their order; n = 2000 and 1e4 take the default sort and its fix-up
+    rng = np.random.default_rng(31)
+    for n in (3, 17, 200, 2000, 10_000):
+        for _ in range(3):
+            bk = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+            vals = rng.choice([0.0, 0.5, 1.0, 2.0], n) * rng.choice([-1.0, 1.0], n)
+            f = StepFunction(bk, vals)
+            _assert_matches_stable_sort(f, LEBESGUE)
+            _assert_matches_stable_sort(f, _random_measure(rng))
+
+
+_levels = st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 3.25]), min_size=1, max_size=60)
+
+
+@st.composite
+def _tie_heavy(draw):
+    """A step function whose levels repeat on a random grid, tiled 200 times
+    (mostly past 1024 segments: the default sort and its tie fix-up) or
+    not (the stable sort), and a step measure that may vanish in places."""
+    vals = np.tile(draw(_levels), draw(st.sampled_from([1, 200])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = StepFunction(np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, len(vals) - 1)), [1.0])),
+                     vals)
+    density = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+    return f, MeasureDensity(make_step(np.linspace(0.0, 1.0, len(density) + 1), density))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tie_heavy())
+def test_rearrangement_property(case):
+    fs = rearrangement(*case)
+    bk, levels, total = _stable_rearrangement(*case)
+    assert np.array_equal(fs.breakpoints, bk) and np.array_equal(fs.values, levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tie_heavy())
+def test_distribution_property(case):
+    lam = distribution(*case)
+    knots, measures = _stable_distribution(*case)
+    assert np.array_equal(lam.knots, knots) and np.array_equal(lam.measures, measures)

@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rlab import (LEBESGUE, IntervalSet, MeasureDensity, PiecewisePoly,
                   StepFunction, characteristic, custom_step_kernel,
@@ -9,6 +9,8 @@ from rlab import (LEBESGUE, IntervalSet, MeasureDensity, PiecewisePoly,
                   measure_from_json, measure_to_json, pointwise,
                   rearrangement, step_from_json, step_to_json)
 from rlab.stepfn import merge_segment_grids
+
+from oracles import midpoint_merge
 
 
 def test_construction_validates_grid():
@@ -88,6 +90,66 @@ def test_merge_segment_grids_midpoint_lookup():
     assert bk.tolist() == [0.0, 0.2, 0.5, 1.0]
     assert fv.tolist() == [1.0, 1.0, 2.0]
     assert gv.tolist() == [5.0, 6.0, 6.0]
+    # grids need not share endpoints: outside a grid's range its nearest
+    # end segment applies
+    bk, fv, gv = merge_segment_grids(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0]),
+                                     np.array([0.2, 0.7, 2.0]), np.array([5.0, 6.0]))
+    assert bk.tolist() == [0.0, 0.2, 0.5, 0.7, 1.0, 2.0]
+    assert fv.tolist() == [1.0, 1.0, 2.0, 2.0, 2.0]
+    assert gv.tolist() == [5.0, 5.0, 5.0, 6.0, 6.0]
+
+
+def test_merge_segment_grids_one_ulp_segment():
+    # the merged segment (0.85, x) lies in f's first segment, but its float
+    # midpoint rounds onto x, where the midpoint formula read f's second one
+    x = np.nextafter(0.85, 1.0)
+    args = (np.array([0.0, x, 1.0]), np.array([1.0, 2.0]),
+            np.array([0.0, 0.85, 1.0]), np.array([5.0, 6.0]))
+    assert 0.5 * (0.85 + x) == x
+    assert midpoint_merge(*args)[1].tolist() == [1.0, 2.0, 2.0]
+    bk, fv, gv = merge_segment_grids(*args)
+    assert bk.tolist() == [0.0, 0.85, x, 1.0]
+    assert fv.tolist() == [1.0, 1.0, 2.0]
+    assert gv.tolist() == [5.0, 6.0, 6.0]
+
+
+def _assert_same_merge(args):
+    got, want = merge_segment_grids(*args), midpoint_merge(*args)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_merge_segment_grids_matches_the_midpoint_formula():
+    # shared, unshared and past-the-end endpoints, shared interior points,
+    # either grid the larger
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 50, 10_000):
+        for k in (2, 3, 40):
+            for lo, hi in ((0.0, 1.0), (0.2, 0.7), (-0.5, 2.0), (1.0, 3.0)):
+                a = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+                b = np.sort(np.concatenate((rng.choice(a, min(k // 2, n), replace=False),
+                                            rng.uniform(lo, hi, k))))
+                b = np.unique(np.clip(b, lo, hi))
+                if len(b) < 2:
+                    continue
+                va, vb = rng.normal(size=len(a) - 1), rng.normal(size=len(b) - 1)
+                _assert_same_merge((a, va, b, vb))
+                _assert_same_merge((b, vb, a, va))
+
+
+_grid = st.lists(st.floats(-2.0, 3.0), min_size=2, max_size=30, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_grid, b=_grid, data=st.data())
+def test_merge_segment_grids_property(a, b, data):
+    a, b = np.array(a), np.array(b)
+    union = np.union1d(a, b)
+    mids = 0.5 * (union[:-1] + union[1:])
+    assume(np.all((union[:-1] < mids) & (mids < union[1:])))  # where the formula is exact
+    va = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(a) - 1, max_size=len(a) - 1)))
+    vb = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(b) - 1, max_size=len(b) - 1)))
+    _assert_same_merge((a, va, b, vb))
 
 
 def test_level_measure_exact():
