@@ -6,11 +6,10 @@ CSV with '.' decimals and 17-significant-digit floats, deterministic for a
 fixed command line and seed.  Exit codes: 0 success, 1 validation error,
 2 computation error (e.g. quadrature non-convergence or overflow).
 
-The eps-grid size defaults to 2048, overridden by the RLAB_GRID
-environment variable and then by --grid.  Only norm (a grand norm's
-sampled profile, none unless asked for), eps-profile (whose CSV header
-records the size) and the downward check of embed-check read a grid; the
-other answers are closed forms or come from the certified branch-and-bound.
+Only eps-profile (whose CSV header records the size) and the downward
+check of embed-check read an eps grid, sized by --grid (default 2048, at
+least 8); the other verbs take no --grid.  Every other answer is a closed
+form or comes from the certified branch-and-bound, which reads no grid.
 """
 from __future__ import annotations
 
@@ -18,9 +17,7 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
-from typing import Optional
 
 from .analysis import convergence_sweep, kernel_from_json, maximal
 from .embeddings import (cross_weight_check, domination_constant,
@@ -58,16 +55,14 @@ def _load_json_arg(text: str):
         return json.load(fh)
 
 
-def _resolve_grid(args) -> Optional[int]:
-    grid, env = args.grid, os.environ.get("RLAB_GRID")
-    if grid is None and env:
-        try:
-            grid = int(env)
-        except ValueError:
-            raise ValueError(f"RLAB_GRID must be an integer, got {env!r}")
-    if grid is not None and grid < 8:
-        raise ValueError("grid size must be at least 8")
-    return grid
+def _grid_size(text: str) -> int:
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size < 8:
+        raise argparse.ArgumentTypeError(f"grid size must be an integer of at least 8, got {text!r}")
+    return size
 
 
 def _emit(args, text: str) -> None:
@@ -90,15 +85,13 @@ def _measure_arg(args):
 def _cmd_norm(args) -> int:
     spec = spacespec_from_json(_load_json_arg(args.spec))
     f = step_from_json(_load_json_arg(args.fn))
-    grid = _resolve_grid(args)
-    out = space_norm(f, spec, grid)
+    out = space_norm(f, spec)
     value = out.value if isinstance(out, EpsSupResult) else float(out)
     sys.stdout.write(_fmt(value) + "\n")
     if getattr(args, "out", None):
-        # grid: the size of the sampled eps profile, null when none was sampled
-        payload = {"value": value, "grid": None}
+        payload = {"value": value}
         if isinstance(out, EpsSupResult):
-            payload.update(grid=out.eps.size or None, upper=out.upper, evals=out.evals,
+            payload.update(upper=out.upper, evals=out.evals,
                            eps_star=out.eps_star, endpoint_limit=out.endpoint_limit)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
@@ -141,7 +134,7 @@ def _cmd_embed_check(args) -> int:
                 verdict = cross_weight_check(args.p, args.q, w, v)
             else:
                 verdict = downward_check(args.p, args.q, w, v, upper=args.upper,
-                                         grid_size=_resolve_grid(args))
+                                         grid_size=args.grid)
     elif kind in ("domination", "mutual-ac"):
         if args.mu is None or args.nu is None:
             raise ValueError(f"--mu and --nu are required for {kind}")
@@ -196,11 +189,10 @@ def _cmd_mollify_sweep(args) -> int:
 
 
 def _cmd_eps_profile(args) -> int:
-    grid = _resolve_grid(args)
     f = step_from_json(_load_json_arg(args.fn))
     spec = spacespec_from_json(_load_json_arg(args.spec))
-    res = eps_profile(f, spec, grid)
-    lines = [f"# grid={grid or DEFAULT_GRID} value={_fmt(res.value)} upper={_fmt(res.upper)} "
+    res = eps_profile(f, spec, args.grid)
+    lines = [f"# grid={args.grid} value={_fmt(res.value)} upper={_fmt(res.upper)} "
              f"eps_star={'' if res.eps_star is None else _fmt(res.eps_star)} "
              f"endpoint={res.endpoint_limit or ''}"]
     lines.append("eps,value")
@@ -222,13 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=fn)
         if grid:
-            p.add_argument("--grid", type=int, default=None, help=grid)
+            p.add_argument("--grid", type=_grid_size, default=DEFAULT_GRID, help=grid)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         return p
 
-    p = add("norm", _cmd_norm, help="evaluate a norm; prints the value",
-            grid="size of a grand norm's sampled eps profile, reported by --out "
-                 "(default none, or RLAB_GRID)")
+    p = add("norm", _cmd_norm, help="evaluate a norm; prints the value")
     p.add_argument("--spec", required=True, help="SpaceSpec JSON (inline or path)")
     p.add_argument("--fn", required=True, help="StepFunction JSON (inline or path)")
 
@@ -244,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1024)
 
     p = add("embed-check", _cmd_embed_check, help="inclusion condition verdict",
-            grid="downward: eps-grid size (default 2048 or RLAB_GRID); "
-                 "the other checks read no grid")
+            grid="downward: eps-grid size (default 2048); the other checks read no grid")
     p.add_argument("--check", required=True,
                    choices=["wholds", "cross-weight", "downward",
                             "domination", "mutual-ac", "empirical"])
@@ -280,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("eps-profile", _cmd_eps_profile,
             help="grand-norm eps profile as CSV",
-            grid="eps-grid size (default 2048 or RLAB_GRID)")
+            grid="eps-grid size (default 2048)")
     p.add_argument("--fn", required=True)
     p.add_argument("--spec", required=True, help="grand-kind SpaceSpec JSON")
 

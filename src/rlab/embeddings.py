@@ -19,7 +19,8 @@ from .corpus import random_step_function
 from .norms import (SpaceSpec, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
 from .quadrature import QuadratureError, integrate_batch
-from .stepfn import MeasureDensity, StepFunction, characteristic, merge_segment_grids, step_to_json
+from .stepfn import (MeasureDensity, StepFunction, characteristic, make_step,
+                     merge_segment_grids, step_to_json)
 from .weights import PowerWeight, Weight, _as_weight
 
 __all__ = [
@@ -83,6 +84,15 @@ def _verdict(value: float, eps: float) -> EmbeddingVerdict:
                             witness=f"eps={eps:.17g}")
 
 
+def _in_range(value: float, log: float, name: str) -> float:
+    """value, whose log is log, unless that is finite while value is 0 or inf
+    (math.exp raises OverflowError itself past the largest float)."""
+    if math.isinf(value) or (value == 0.0 and log > -math.inf):
+        raise (FloatingPointError if value == 0.0 else OverflowError)(
+            f"the {name} condition lies outside the float range")
+    return value
+
+
 def _mass(w: Weight) -> tuple:
     """W(1) and log W(1), the log of a power weight from its parameters: finite
     even where coeff/(alpha+1) overflows or underflows."""
@@ -109,10 +119,7 @@ def _weight_sup(p: float, q: float, w: tuple, v: tuple) -> EmbeddingVerdict:
     # pow of a normal float mass beats exp of its rounded log; the log serves the rest
     normal = np.finfo(float).tiny <= min(w1, v1) and max(w1, v1) < math.inf
     value = (w1 ** (x - y) if w1 == v1 else w1**x * v1**-y) if normal else math.exp(log[i])
-    if math.isinf(value) or (value == 0.0 and log[i] > -math.inf):  # math.exp raises itself
-        raise (FloatingPointError if value == 0.0 else OverflowError)(
-            "the weight condition lies outside the float range")
-    return _verdict(value, p - float(d[i]))
+    return _verdict(_in_range(value, log[i], "weight"), p - float(d[i]))
 
 
 def wholds_check(p: float, q: float, w: Weight) -> EmbeddingVerdict:
@@ -139,17 +146,17 @@ def cross_weight_check(p: float, q: float, w: Weight, v: Weight) -> EmbeddingVer
     return _weight_sup(p, q, _mass(w), m)
 
 
-def _normal_mass(w: Weight) -> tuple:
-    """w and k with W(1) a normal float, scaled by 2^-k if it was not: a
-    power weight whose coeff/(alpha+1) overflows or underflows gets its
-    coeff scaled exactly, by the power of 2 nearest its log mass; any other
-    weight comes back as it is, with k = 0."""
+def _unit_mass(w: Weight) -> tuple:
+    """w divided by its mass W(1), and log W(1) from _mass: a power weight
+    becomes PowerWeight(alpha, alpha + 1) exactly, a step weight has its
+    values divided by its float mass.  A zero weight comes back as it is."""
     w = _as_weight(w)
-    if (not isinstance(w, PowerWeight) or w.coeff == 0.0
-            or np.finfo(float).tiny <= w.coeff / (w.alpha + 1.0) < math.inf):
-        return w, 0
-    k = round(_mass(w)[1] / math.log(2.0))
-    return PowerWeight(w.alpha, math.ldexp(w.coeff, -k)), k
+    mass, log = _mass(w)
+    if log == -math.inf:
+        return w, log
+    if isinstance(w, PowerWeight):
+        return PowerWeight(w.alpha, w.alpha + 1.0), log
+    return MeasureDensity(make_step(w.density.breakpoints, w.density.values / mass)), log
 
 
 class _ExtendedWeight:
@@ -196,16 +203,17 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     eps below that one, go through one integrate_batch call at rel_tol; a
     non-finite estimate there also counts as divergence at its eps.
     upper defaults to 1 (the ambient interval); larger values extend both
-    weights beyond 1 by their density at 1.  A power weight whose mass W(1)
-    is not a normal float is first scaled by a power of 2 (_normal_mass),
-    and the values are then taken back through their logs.
+    weights beyond 1 by their density at 1.  Both weights are first divided
+    by their masses (_unit_mass), so the integral scales by
+    W(1)^(1+beta) V(1)^-beta; the grid is ranked by the log of the value,
+    and the winner is taken back from its log.  A zero w gives 0; a finite
+    value outside the float range raises OverflowError or FloatingPointError.
     """
     q, p = _ordered_pair(q, p, "q", "p", strict=True)
     r = p * q / (p - q)
     if not (np.isfinite(upper) and upper >= 1.0):
         raise ValueError("upper must be >= 1")
-    # the integrand (W/V)^beta w scales by 2^(kw + (kw-kv) beta) with the weights
-    (w, kw), (v, kv) = _normal_mass(w), _normal_mass(v)
+    (w, lw), (v, lv) = _unit_mass(w), _unit_mass(v)
     ew, ev = _ExtendedWeight(w), _ExtendedWeight(v)
     if not ev.c0 > 0:
         raise ValueError("target weight primitive vanishes near 0")
@@ -219,8 +227,7 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     n = int(divergent[0]) if len(divergent) else len(eps)
     beta, gamma = beta[:n], gamma[:n]
     ratio = (ew.c0 / (ew.alpha + 1.0)) / (ev.c0 / (ev.alpha + 1.0))  # W/V = ratio t^(aw-av)
-    # extreme weights may overflow; an infinite value then fails the check
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         total = (np.zeros(n) if ew.c0 == 0.0 else
                  ratio**beta * ew.c0 * knots[1] ** (gamma + 1.0) / (gamma + 1.0))
         pieces = len(knots) - 2
@@ -240,12 +247,9 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
             total += res.value.reshape(n, pieces).sum(axis=1)
         if n < len(eps):
             return _verdict(math.inf, eps[n])
-        if kw == kv == 0:
-            values = total ** (1.0 / (r - eps))
-        else:
-            values = np.exp((np.log(total) + (kw + (kw - kv) * beta) * math.log(2.0)) / (r - eps))
-    i = int(np.argmax(values))
-    return _verdict(float(values[i]), eps[i])
+        logs = (np.log(total) + beta * (lw - lv) + lw) / (r - eps)
+    i = int(np.argmax(logs))
+    return _verdict(_in_range(math.exp(logs[i]), logs[i], "downward"), eps[i])
 
 
 def domination_constant(mu: MeasureDensity, nu: MeasureDensity) -> float:

@@ -37,14 +37,14 @@ u = 2**-53, spread = log(vmax/vmin) and c >= s |log(value/vmax)| + |G| +
 |log eps| at every node: a bound on the rounding of each G (exponents,
 exp, the pairwise sum, the 1/s power, logs) and of the cell bounds, so
 [value, upper] holds in floating point (terms below the smallest normal
-float aside).  A profile is sampled only on request.  Slices factor out
+float aside).  The search reads no grid.  Slices factor out
 the top level and run over eps in blocks of at most 2**16 float64 values
 (512 KiB), or one eps at a time past that many terms, so grand norms stay
 finite for any finite levels and their memory does not grow with the grid.
 
-The grid default is 2048 points with offset delta = 1e-6; every consumer
-of fixed-eps slices reuses the same grid constructor so slice-wise
-comparisons align exactly.
+eps_grid (2048 points, GRID_DELTA = 1e-6 from both ends) is sampled only by
+eps_profile and by downward_check and domination_slice_check, whose answer
+it defines; sharing it aligns their slices exactly.
 """
 from __future__ import annotations
 
@@ -109,8 +109,8 @@ _BLOCK = 2**16
 _START, _SPLIT, _TOL, _U = 64, 8, 2e-13, 2.0**-53
 
 
-def eps_grid(limit: float, size: Optional[int] = None, delta: float = GRID_DELTA) -> np.ndarray:
-    """Geometric eps grid on (delta, limit - delta), clustered at both ends.
+def eps_grid(limit: float, size: Optional[int] = None) -> np.ndarray:
+    """Geometric eps grid on (GRID_DELTA, limit - GRID_DELTA), clustered at both ends.
 
     Half the points are log-spaced offsets from the lower endpoint, half
     mirrored from the upper endpoint; the center point belongs to the lower
@@ -119,11 +119,11 @@ def eps_grid(limit: float, size: Optional[int] = None, delta: float = GRID_DELTA
     size = size or DEFAULT_GRID
     if size < 8:
         raise ValueError("eps grid needs at least 8 points")
-    if not limit > 2.0 * delta:
-        raise ValueError(f"eps interval (0, {limit}) too narrow for delta {delta}")
+    if not limit > 2.0 * GRID_DELTA:
+        raise ValueError(f"eps interval (0, {limit}) too narrow for delta {GRID_DELTA}")
     half = size // 2
-    lo = np.geomspace(delta, limit / 2.0, half)
-    hi = limit - np.geomspace(delta, limit / 2.0, size - half + 1)[:-1]
+    lo = np.geomspace(GRID_DELTA, limit / 2.0, half)
+    hi = limit - np.geomspace(GRID_DELTA, limit / 2.0, size - half + 1)[:-1]
     return np.sort(np.concatenate((lo, hi)))
 
 
@@ -140,7 +140,7 @@ class EpsSupResult:
     widened for rounding, evals the branch-and-bound's slice evaluations.
     endpoint_limit is "upper" when value is the one-sided limit at eps =
     limit (eps_star = limit), else None: every slice tends to 0 as eps -> 0.
-    eps and slice_values hold the sampled profile, if one was asked for."""
+    eps and slice_values hold the profile sampled by eps_profile, else nothing."""
 
     value: float
     eps_star: Optional[float]
@@ -199,8 +199,7 @@ def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
     return fn
 
 
-def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float,
-                grid_size: Optional[int]) -> EpsSupResult:
+def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float) -> EpsSupResult:
     """Certified sup over 0 < eps < limit = top - 1 of the slices of
     (levels, base, top): the branch-and-bound of the module docstring."""
     limit = top - 1.0
@@ -251,12 +250,8 @@ def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float,
     c = (top + 1) * (abs(math.log(e0)) + abs(g0) + abs(g_lim) + abs(top_l) + abs(math.log(limit)))
     spread = math.log(vmax / levels[keep].min())
     delta = _U * (math.log2(keep.sum()) + 3 * top * spread + 8 * (c + top + 6))
-    eps = eps_grid(limit, grid_size) if grid_size else np.empty(0)  # a profile on request
-    prof = fn(eps) if grid_size else eps
-    if prof.size and prof.max() > best_v:
-        best_v, best_e = float(prof.max()), float(eps[np.argmax(prof)])
     return EpsSupResult(best_v, best_e, "upper" if best_e == limit else None,
-                        max(best_v, vmax * math.exp(top_l + delta)), evals, eps, prof)
+                        max(best_v, vmax * math.exp(top_l + delta)), evals)
 
 
 # -- space specifications --------------------------------------------------
@@ -375,19 +370,22 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
     return mv, mw * np.diff(mbk ** (q / p)), q
 
 
-def space_norm(f: StepFunction, spec: SpaceSpec,
-               grid_size: Optional[int] = None) -> Union[float, EpsSupResult]:
+def space_norm(f: StepFunction, spec: SpaceSpec) -> Union[float, EpsSupResult]:
     """Evaluate the norm described by spec; grand kinds return EpsSupResult."""
     if spec.kind == "lorentz_pq_star":
         return lorentz_pq_star_norm(f, spec.p, spec.q, spec.measure)
-    grand = _KINDS[spec.kind].grand
-    levels, base, top = _terms(f, spec)
+    return _norm_of_terms(_KINDS[spec.kind].grand, *_terms(f, spec))
+
+
+def _norm_of_terms(grand: bool, levels: np.ndarray, base: np.ndarray,
+                   top: float) -> Union[float, EpsSupResult]:
+    """The norm of _terms' (levels, base, top); grand kinds give EpsSupResult."""
     if not levels.any():
         value = 0.0
     elif math.isinf(top):
         value = float(np.max(levels * base))  # the largest right-end value
     elif grand:
-        return _sup_engine(levels, base, top, grid_size)
+        return _sup_engine(levels, base, top)
     else:
         return _scaled_power_sum(levels, base, top)
     return EpsSupResult(value, None, None, value, 0) if grand else value
@@ -400,11 +398,26 @@ def norm_value(f: StepFunction, spec: SpaceSpec) -> float:
 
 def eps_profile(f: StepFunction, spec: SpaceSpec,
                 grid_size: Optional[int] = None) -> EpsSupResult:
-    """A grand norm's bracket together with its sampled eps curve on
-    eps_grid(limit, grid_size or DEFAULT_GRID)."""
+    """A grand norm's bracket with its eps curve on eps_grid(limit, grid_size):
+    the one place a profile is sampled.  value is the larger of the search's
+    best slice and the profile's largest, eps_star where it sits; a norm in
+    closed form (q = inf, or no positive term) comes without a profile."""
     if not _KINDS[spec.kind].grand:
         raise ValueError(f"eps_profile needs a grand kind, got {spec.kind!r}")
-    return space_norm(f, spec, grid_size or DEFAULT_GRID)
+    levels, base, top = _terms(f, spec)
+    res = _norm_of_terms(True, levels, base, top)
+    if not res.evals:
+        return res
+    limit = top - 1.0
+    eps = eps_grid(limit, grid_size)
+    prof = _slice_closure(levels, base, top)(eps)
+    i = int(np.argmax(prof))
+    if prof[i] > res.value:
+        res.value, res.eps_star = float(prof[i]), float(eps[i])
+        res.endpoint_limit = "upper" if res.eps_star == limit else None
+        res.upper = max(res.upper, res.value)
+    res.eps, res.slice_values = eps, prof
+    return res
 
 
 # -- one wrapper per kind ----------------------------------------------------
@@ -470,26 +483,23 @@ def lambda_norm(f: StepFunction, p: float, weight: Weight,
     return space_norm(f, SpaceSpec("lambda_classical", p, weight=weight, measure=mu))
 
 
-def grand_lebesgue_norm(f: StepFunction, p: float,
-                        grid_size: Optional[int] = None) -> EpsSupResult:
+def grand_lebesgue_norm(f: StepFunction, p: float) -> EpsSupResult:
     """sup over 0 < eps < p-1 of (eps * int_0^1 |f|^{p-eps} dx)^{1/(p-eps)}."""
-    return space_norm(f, SpaceSpec("grand_lebesgue", p), grid_size)
+    return space_norm(f, SpaceSpec("grand_lebesgue", p))
 
 
 def grand_lorentz_pq_norm(f: StepFunction, p: float, q: float,
-                          mu: Optional[MeasureDensity] = None,
-                          grid_size: Optional[int] = None) -> EpsSupResult:
+                          mu: Optional[MeasureDensity] = None) -> EpsSupResult:
     """sup over 0 < eps < q-1 of
     ((q/p) eps int_0^1 t^{q/p-1} f*(t)^{q-eps} dt)^{1/(q-eps)};
     for q = inf the plain supremum of t^{1/p} f*(t) over 0 < t < 1."""
-    return space_norm(f, SpaceSpec("grand_lorentz_pq", p, q, measure=mu), grid_size)
+    return space_norm(f, SpaceSpec("grand_lorentz_pq", p, q, measure=mu))
 
 
 def grand_lambda_norm(f: StepFunction, p: float, weight: Weight,
-                      mu: Optional[MeasureDensity] = None,
-                      grid_size: Optional[int] = None) -> EpsSupResult:
+                      mu: Optional[MeasureDensity] = None) -> EpsSupResult:
     """sup over 0 < eps < p-1 of (eps int_0^1 f*(t)^{p-eps} w(t) dt)^{1/(p-eps)}."""
-    return space_norm(f, SpaceSpec("lambda_grand", p, weight=weight, measure=mu), grid_size)
+    return space_norm(f, SpaceSpec("lambda_grand", p, weight=weight, measure=mu))
 
 
 # -- fixed-eps slices (shared by the embedding checks) --------------------

@@ -113,8 +113,8 @@ def integrate_batch(fn, a, b, rel_tol: float = 1e-10, abs_floor: float = 1e-14,
 
     for start in range(0, len(a), _GROUP):
         # the live intervals and their problems (own, 0..n-1 in the group);
-        # each problem's intervals keep the order the one-problem loop gives
-        # them, so the bincount sums below match its sums
+        # each problem's intervals keep the order a one-problem run gives
+        # them, so the bincount sums below match its sums bit for bit
         lo, hi = a[start:start + _GROUP], b[start:start + _GROUP]
         n = len(lo)
         own = np.arange(n)
@@ -123,14 +123,6 @@ def integrate_batch(fn, a, b, rel_tol: float = 1e-10, abs_floor: float = 1e-14,
         while True:
             count = np.bincount(own, minlength=n)
             total, err_total = np.bincount(own, vals, n), np.bincount(own, errs, n)
-            # bincount adds in order, as np.sum does below 8 terms; from 8
-            # on np.sum adds pairwise, so take its rounding there too
-            order = None
-            for k in np.flatnonzero(count >= 8):
-                if order is None:
-                    order, ends = np.argsort(own, kind="stable"), np.cumsum(count)
-                mine = order[ends[k] - count[k]:ends[k]]
-                total[k], err_total[k] = vals[mine].sum(), errs[mine].sum()
             budget = np.maximum(rel_tol * np.abs(total), abs_floor)
             live = count > 0
             bad = live & ~(np.isfinite(total) & np.isfinite(err_total))

@@ -35,23 +35,22 @@ def test_norm_prints_value(capsys):
 def test_norm_out_file_payload(tmp_path, capsys):
     dest = tmp_path / "norm.json"
     code, out, _ = _run(capsys, ["norm", "--spec", GRAND22, "--fn", CHI_JSON,
-                                 "--grid", "128", "--out", str(dest)])
+                                 "--out", str(dest)])
     assert code == 0
     payload = json.loads(dest.read_text())
-    assert payload["grid"] == 128
+    assert sorted(payload) == ["endpoint_limit", "eps_star", "evals", "upper", "value"]
     assert payload["value"] == pytest.approx(float(out), rel=1e-15)
     assert 0.0 < payload["eps_star"] < 1.0
     assert payload["endpoint_limit"] is None
 
 
 def test_norm_out_file_reports_the_bracket(tmp_path, capsys):
-    # without --grid no profile is sampled: grid is null, the bracket is there
+    # norm samples no profile; the bracket is there
     dest = tmp_path / "norm.json"
     code, out, _ = _run(capsys, ["norm", "--spec", GRAND22, "--fn", CHI_JSON,
                                  "--out", str(dest)])
     assert code == 0
     payload = json.loads(dest.read_text())
-    assert payload["grid"] is None
     assert payload["value"] == float(out) <= payload["upper"] <= payload["value"] * (1 + 1e-12)
     assert 0 < payload["evals"] <= 256
     code, out, _ = _run(capsys, ["eps-profile", "--fn", CHI_JSON, "--spec", GRAND22,
@@ -236,50 +235,55 @@ def test_eps_profile_rejects_non_grand(capsys):
     assert "grand" in err
 
 
-# ---------------------------------------------------------------- environment
+# ---------------------------------------------------------------- grid
 
-def test_rlab_grid_env_respected(capsys, monkeypatch):
-    monkeypatch.setenv("RLAB_GRID", "32")
-    code, out, _ = _run(capsys, ["eps-profile", "--fn", CHI_JSON,
-                                 "--spec", GRAND22])
-    assert code == 0
-    assert out.splitlines()[0].startswith("# grid=32 ")
-    # explicit flag wins over the environment
-    code, out, _ = _run(capsys, ["eps-profile", "--fn", CHI_JSON,
-                                 "--spec", GRAND22, "--grid", "16"])
-    assert out.splitlines()[0].startswith("# grid=16 ")
+POW1 = '{"power_weight": {"alpha": 1.0}}'
+EVERY_VERB = (
+    ["norm", "--spec", L22, "--fn", CHI_JSON],
+    ["norm", "--spec", GRAND22, "--fn", CHI_JSON],
+    ["rearrange", "--fn", CHI_JSON],
+    ["maximal", "--fn", CHI_JSON, "--samples", "4"],
+    ["embed-check", "--check", "wholds", "--p", "2", "--q", "3", "--weight", POW1],
+    ["embed-check", "--check", "downward", "--p", "3", "--q", "1.5", "--weight", POW1,
+     "--target-weight", POW1, "--grid", "64"],
+    ["embed-probe", "--p", "2", "--q", "2", "--r", "4", "--s", "4", "--a-list", "0.5"],
+    ["mollify-sweep", "--fn", CHI_JSON, "--kernel", '{"kind": "box"}', "--t-list", "0.1",
+     "--spec", L22, "--cells", "64"],
+    ["eps-profile", "--fn", CHI_JSON, "--spec", GRAND22],
+)
 
 
-def test_rlab_grid_env_invalid(capsys, monkeypatch):
+def test_rlab_grid_env_changes_no_output(capsys, monkeypatch):
+    # the grid is set by --grid alone; the environment variable is not read
+    plain = [_run(capsys, argv) for argv in EVERY_VERB]
     monkeypatch.setenv("RLAB_GRID", "many")
-    code, _, err = _run(capsys, ["norm", "--spec", GRAND22, "--fn", CHI_JSON])
-    assert code == 1
-    assert "RLAB_GRID" in err
+    assert [_run(capsys, argv) for argv in EVERY_VERB] == plain
+    assert all(code == 0 for code, _, _ in plain)
+    assert plain[4][1] == '{"condition_value": 1.4142135623730951, "holds": true, ' \
+        '"empirical_constant": null, "witness": "eps=1", "seed": null}\n'
+    assert plain[-1][1].startswith("# grid=2048 ")
 
 
 def test_grid_too_small(capsys):
-    code, _, err = _run(capsys, ["norm", "--spec", GRAND22, "--fn", CHI_JSON,
-                                 "--grid", "4"])
-    assert code == 1
+    for argv in (["eps-profile", "--fn", CHI_JSON, "--spec", GRAND22, "--grid", "4"],
+                 ["eps-profile", "--fn", CHI_JSON, "--spec", GRAND22, "--grid", "many"],
+                 ["embed-check", "--check", "downward", "--p", "3", "--q", "1.5",
+                  "--weight", POW1, "--target-weight", POW1, "--grid", "4"]):
+        code, _, err = _run(capsys, argv)
+        assert code == 1 and "at least 8" in err
 
 
-def test_grid_only_on_verbs_that_read_one(capsys, monkeypatch):
+def test_grid_only_on_verbs_that_read_one(capsys):
     code, _, err = _run(capsys, ["rearrange", "--fn", CHI_JSON, "--grid", "8"])
     assert code == 1
     assert "--grid" in err
-    for argv in (["maximal", "--fn", CHI_JSON, "--samples", "4", "--grid", "8"],
+    for argv in (["norm", "--spec", GRAND22, "--fn", CHI_JSON, "--grid", "8"],
+                 ["maximal", "--fn", CHI_JSON, "--samples", "4", "--grid", "8"],
                  ["embed-probe", "--p", "2", "--q", "2", "--r", "4", "--s", "4",
                   "--a-list", "0.5", "--grid", "8"],
                  ["mollify-sweep", "--fn", CHI_JSON, "--kernel", '{"kind": "box"}',
                   "--t-list", "0.1", "--spec", L22, "--grid", "8"]):
         assert _run(capsys, argv)[0] == 1
-    monkeypatch.setenv("RLAB_GRID", "many")  # read by no verb below
-    assert _run(capsys, ["rearrange", "--fn", CHI_JSON])[0] == 0
-    assert _run(capsys, ["embed-probe", "--p", "2", "--q", "2", "--r", "4", "--s", "4",
-                         "--a-list", "0.5"])[0] == 0
-    code, out, _ = _run(capsys, ["embed-check", "--check", "wholds", "--p", "2", "--q", "3",
-                                 "--weight", '{"power_weight": {"alpha": 1.0}}'])
-    assert code == 0 and json.loads(out)["condition_value"] == 1.4142135623730951
 
 
 # ---------------------------------------------------------------- determinism

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rlab import (MeasureDensity, QuadratureError, SpaceSpec, atom_bound,
                   characteristic, cross_weight_check, domination_constant,
@@ -291,6 +291,74 @@ def test_downward_with_an_overflowing_mass():
         assert out.witness == f"eps={eps[0]:.17g}"
     out = downward_check(3.0, 1.5, HUGE, HUGE)  # was nan: inf/inf
     assert out.holds and out.condition_value == pytest.approx(same, rel=1e-12)
+
+
+def test_downward_with_an_overflowing_mass_ratio():
+    # both masses are normal floats but W(1)/V(1) = 1e400 is not; p = r = 3,
+    # so beta = 1 and the integral is W(1)/V(1) * w = 1e600 at every eps,
+    # whose 1/(3 - eps) power is largest at the largest eps
+    eps = eps_grid(0.5)
+    out = downward_check(3.0, 1.5, PowerWeight(0.0, 1e200), PowerWeight(0.0, 1e-200))
+    with mpmath.workdps(40):
+        want = float(mpmath.mpf(10) ** (600 / (3 - mpmath.mpf(eps[-1]))))
+    assert want == pytest.approx(1e240, rel=1e-2)
+    assert out.holds and out.condition_value == pytest.approx(want, rel=1e-12)
+    assert out.witness == f"eps={eps[-1]:.17g}"
+
+
+def test_downward_zero_weight_gives_zero():
+    for w in (PowerWeight(0.5, 0.0), make_step([0.0, 1.0], [0.0])):
+        out = downward_check(3.0, 1.5, w, PowerWeight(0.0, 1e-200), upper=2.0)
+        assert out.holds and out.condition_value == 0.0
+
+
+_LEAST, _LARGEST = mpmath.log(mpmath.mpf(2) ** -1075), mpmath.log(np.finfo(float).max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(1.05, 3.0), dp=st.floats(0.05, 4.0),
+       aw=st.floats(-1.0, 3.0, exclude_min=True), av=st.floats(-1.0, 3.0, exclude_min=True),
+       kw=st.floats(-300.0, 300.0), kv=st.floats(-300.0, 300.0))
+@example(q=1.5, dp=1.5, aw=0.0, av=0.0, kw=200.0, kv=-200.0)  # W(1)/V(1) = 1e400
+@example(q=1.5, dp=1.5, aw=0.0, av=0.0, kw=300.0, kv=-300.0)  # the sup is 1e360
+@example(q=1.05, dp=4.0, aw=0.0, av=0.0, kw=-300.0, kv=300.0)  # the sup is 1e-345
+def test_downward_power_pairs_in_closed_form(q, dp, aw, av, kw, kv):
+    # upper = 1: W/V = ratio t^(aw-av) with ratio = W(1)/V(1), so the integral
+    # is ratio^beta c_w/(gamma+1), finite iff gamma = beta (aw-av) + aw > -1
+    p = q + dp
+    w, v = PowerWeight(aw, 10.0**kw), PowerWeight(av, 10.0**kv)
+    eps = eps_grid(q - 1.0, 8)
+    with mpmath.workdps(40):
+        r = mpmath.mpf(p) * q / (mpmath.mpf(p) - q)
+        log_ratio = mpmath.log(_mp_mass(w) / _mp_mass(v))
+        gammas, logs = [], []
+        for e in map(mpmath.mpf, eps):
+            beta = (r - e) / (p - e)
+            gammas.append(beta * (mpmath.mpf(aw) - av) + aw)
+            logs.append((beta * log_ratio + mpmath.log(w.coeff) - mpmath.log(gammas[-1] + 1))
+                        / (r - e) if gammas[-1] > -1 else mpmath.inf)
+    assume(all(abs(g + 1) > 1e-9 for g in gammas))  # the float gamma is on the same side
+    divergent = [i for i, g in enumerate(gammas) if g <= -1]
+    if divergent:
+        out = downward_check(p, q, w, v, grid_size=8)
+        assert not out.holds and out.condition_value == math.inf
+        assert out.witness == f"eps={eps[divergent[0]]:.17g}"
+        return
+    best = max(logs)
+    assume(min(abs(best - _LARGEST), abs(best - _LEAST)) > 1e-9)  # rounding decides there
+    if best > _LARGEST:
+        with pytest.raises(OverflowError):
+            downward_check(p, q, w, v, grid_size=8)
+    elif best < _LEAST:
+        with pytest.raises(FloatingPointError):
+            downward_check(p, q, w, v, grid_size=8)
+    else:
+        out = downward_check(p, q, w, v, grid_size=8)
+        # a subnormal value carries an absolute rounding of a few of its ulps
+        assert out.holds and math.isclose(out.condition_value, float(mpmath.exp(best)),
+                                          rel_tol=1e-12, abs_tol=2.0**-1072)
+        i = [f"eps={e:.17g}" for e in eps].index(out.witness)
+        assert logs[i] >= best - 1e-12 * max(1, abs(best))  # the max up to rounding
 
 
 def _step_downward_loop(p, q, w, v, upper, grid_size):

@@ -241,12 +241,12 @@ def test_space_norm_dispatch_matches_direct_calls_per_kind(kind, mu, w):
         assert np.array_equal(got.eps, want.eps)
         assert np.array_equal(got.slice_values, want.slice_values)
         assert norm_value(f, spec) == want.value
-        # the sampled profiles agree too (space_norm samples none unless asked)
-        got, want = eps_profile(f, spec), space_norm(f, spec, DEFAULT_GRID)
+        # space_norm samples no profile; eps_profile adds one to the same bracket
+        assert got.eps.size == 0
+        got = eps_profile(f, spec)
         assert got.eps.size == DEFAULT_GRID
-        assert np.array_equal(got.eps, want.eps)
-        assert np.array_equal(got.slice_values, want.slice_values)
-        assert (got.value, got.upper) == (want.value, want.upper)
+        assert got.value == max(want.value, got.slice_values.max())
+        assert got.upper == max(want.upper, got.value)
     else:
         assert got == want and norm_value(f, spec) == want
 
@@ -356,8 +356,8 @@ def test_eps_grid_validation():
 
 
 def test_eps_sup_result_profile_and_json():
-    # the profile is sampled only on request
-    res = grand_lorentz_pq_norm(_chi(0.25), 2.0, 2.0, grid_size=DEFAULT_GRID)
+    # only eps_profile samples the profile
+    res = eps_profile(_chi(0.25), SpaceSpec("grand_lorentz_pq", 2.0, 2.0), DEFAULT_GRID)
     assert res.eps.size == res.slice_values.size > 0
     assert res.value >= np.max(res.slice_values) - 1e-15
     assert res.endpoint_limit is None  # interior maximizer for this profile
@@ -466,8 +466,8 @@ def test_spacespec_json_round_trip():
 
 def test_grand_norm_grid_size_override():
     f = _chi(0.25)
-    coarse = grand_lorentz_pq_norm(f, 2.0, 2.0, grid_size=64)
-    fine = grand_lorentz_pq_norm(f, 2.0, 2.0, grid_size=4096)
+    spec = SpaceSpec("grand_lorentz_pq", 2.0, 2.0)
+    coarse, fine = eps_profile(f, spec, 64), eps_profile(f, spec, 4096)
     assert coarse.eps.size == 64 and fine.eps.size == 4096
     assert coarse.value == pytest.approx(fine.value, rel=1e-8)
 

@@ -149,7 +149,7 @@ def test_batch_matches_one_problem_runs_exactly(offset):
     m = quadrature._GROUP + offset
     fn, one, lo, hi = _family(m)
     res = integrate_batch(fn, lo, hi, rel_tol=1e-11)
-    assert res.n_intervals.max() > 8  # the pairwise-sum branch is exercised
+    assert res.n_intervals.max() > 8  # problems whose sums take many terms are exercised
     for k in range(m):
         want = integrate_adaptive(one(k), lo[k], hi[k], rel_tol=1e-11)
         got = (res.value[k], res.error_estimate[k], res.n_evals[k], res.n_intervals[k])

@@ -108,7 +108,7 @@ def test_upper_end_supremum_is_the_one_sided_limit():
         bk = np.concatenate(([0.0], np.cumsum(widths) / widths.sum()))
         bk[-1] = 1.0
         vals = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 5))
-        res = grand_lorentz_pq_norm(make_step(bk, vals), p, q, grid_size=DEFAULT_GRID)
+        res = eps_profile(make_step(bk, vals), SpaceSpec("grand_lorentz_pq", p, q), DEFAULT_GRID)
         # closed form on the decreasing rearrangement, built here by sorting
         order = np.argsort(-vals, kind="stable")
         tk = np.concatenate(([0.0], np.cumsum(widths[order] / widths.sum())))
@@ -176,9 +176,10 @@ def test_grand_kinds_at_extreme_levels_match_mpmath(scale):
     lengths = np.diff(bk)
     grid = DEFAULT_GRID  # the profile slices are checked too
     cases = [
-        (grand_lebesgue_norm(f, 2.5, grid), lengths, 2.5),
-        (grand_lorentz_pq_norm(f, 2.0, 3.0, grid_size=grid), np.diff(bk ** 1.5), 3.0),
-        (grand_lambda_norm(f, 2.0, w, grid_size=grid), np.diff(bk ** 1.5) / 1.5, 2.0),
+        (eps_profile(f, SpaceSpec("grand_lebesgue", 2.5), grid), lengths, 2.5),
+        (eps_profile(f, SpaceSpec("grand_lorentz_pq", 2.0, 3.0), grid), np.diff(bk ** 1.5), 3.0),
+        (eps_profile(f, SpaceSpec("lambda_grand", 2.0, weight=w), grid),
+         np.diff(bk ** 1.5) / 1.5, 2.0),
     ]
     for res, bases, top in cases:
         assert math.isfinite(res.value) and res.value > 0.0
