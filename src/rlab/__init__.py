@@ -13,8 +13,7 @@ from .stepfn import (LEBESGUE, IntervalSet, MeasureDensity, StepFunction,
                      step_from_json, step_to_json)
 from .rearrange import (AverageFunction, DistributionFunction, Rearrangement,
                         average, distribution, measure_gap, rearrangement)
-from .weights import (PowerWeight, Weight, WeightPrimitive, w_primitive,
-                      weight_from_json, weight_to_json)
+from .weights import PowerWeight, Weight, weight_from_json, weight_to_json
 from .quadrature import QuadratureError, QuadratureResult, integrate_adaptive, integrate_batch
 from .norms import (DEFAULT_GRID, EpsSupResult, SpaceSpec, eps_grid,
                     eps_profile, grand_lambda_norm, grand_lebesgue_norm,
@@ -29,8 +28,8 @@ from .embeddings import (EmbeddingVerdict, ProbeReport, ProbeRow,
                          empirical_constant, mutual_ac, shrinking_probe,
                          wholds_check)
 from .analysis import (DominationReport, Kernel, MaximalFunction,
-                       PiecewisePoly, PotentialType, ScaledKernel, SweepResult,
-                       SweepRow, box_kernel, bump_kernel, convergence_sweep,
+                       PiecewisePoly, PotentialType, SweepResult, SweepRow,
+                       box_kernel, bump_kernel, convergence_sweep,
                        convolution_values, convolve, custom_step_kernel,
                        domination_check, is_potential_type, kernel_from_json,
                        kernel_to_json, maximal, radial_majorant,
@@ -46,8 +45,7 @@ __all__ = [
     "step_to_json",
     "AverageFunction", "DistributionFunction", "Rearrangement", "average",
     "distribution", "measure_gap", "rearrangement",
-    "PowerWeight", "Weight", "WeightPrimitive", "w_primitive",
-    "weight_from_json", "weight_to_json",
+    "PowerWeight", "Weight", "weight_from_json", "weight_to_json",
     "QuadratureError", "QuadratureResult", "integrate_adaptive", "integrate_batch",
     "DEFAULT_GRID", "EpsSupResult", "SpaceSpec", "eps_grid", "eps_profile",
     "grand_lambda_norm", "grand_lebesgue_norm", "grand_lorentz_pq_norm",
@@ -59,7 +57,7 @@ __all__ = [
     "domination_slice_check", "downward_check", "empirical_constant",
     "mutual_ac", "shrinking_probe", "wholds_check",
     "DominationReport", "Kernel", "MaximalFunction", "PiecewisePoly",
-    "PotentialType", "ScaledKernel", "SweepResult", "SweepRow", "box_kernel",
+    "PotentialType", "SweepResult", "SweepRow", "box_kernel",
     "bump_kernel", "convergence_sweep", "convolution_values", "convolve",
     "custom_step_kernel", "domination_check", "is_potential_type",
     "kernel_from_json", "kernel_to_json", "maximal", "radial_majorant",

@@ -17,18 +17,19 @@ breakpoints.  The budget stays at glibc's default mmap threshold: larger
 temporaries are served from freshly mapped pages that fault on every
 call, which made a 512 KiB budget slower per call than this one.
 
-Mollifier kernels phi are scaled as phi_t(x) = phi(x/t)/t.  Convolutions
-phi_t * f are assembled from the kernel's exact antiderivative: the result
-is piecewise linear for step kernels, piecewise quadratic for the triangle
-kernel, and a sampled piecewise-linear approximation on a documented
-uniform grid for the smooth bump (whose own normalization constant is
-computed by quadrature at build time, never hard-coded).
+Mollifier kernels phi are scaled as phi_t(x) = phi(x/t)/t, which is again
+a kernel of the same kind (Kernel.scaled).  Convolutions phi_t * f are
+assembled from the kernel's exact antiderivative: the result is piecewise
+linear for step kernels, piecewise quadratic for the triangle kernel, and
+a piecewise-linear interpolant on a uniform grid of _BUMP_SAMPLES = 2048
+cells for the smooth bump (whose own normalization constant is computed
+by quadrature once per process, never hard-coded).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -38,7 +39,6 @@ from .stepfn import StepFunction, _canonical, _Piecewise, make_step
 
 __all__ = [
     "Kernel",
-    "ScaledKernel",
     "PiecewisePoly",
     "PotentialType",
     "MaximalFunction",
@@ -63,8 +63,27 @@ __all__ = [
 
 _KERNEL_KINDS = ("box", "triangle", "smooth_bump", "custom_step")
 _BUMP_PANELS = 8192  # cumulative Simpson panels for the bump's tables
-_BUMP_SAMPLES = 2048  # default sampling cells for bump convolutions
+_BUMP_SAMPLES = 2048  # sampling cells for bump convolutions
 _BLOCK = 2**14  # float64 values per temporary in the pairwise operators (128 KiB)
+_CELL_PANELS = 4  # Simpson panels per cell in MaximalFunction.cell_average_step
+_DOMINATION_TOL = 1e-9  # DominationReport.tolerance of domination_check
+
+
+@cache
+def _bump_table():
+    """Unit profile exp(1/(z^2 - 1)) on (-1, 1): the nodes, its normalized
+    antiderivative there, and its raw mass, by cumulative composite Simpson
+    on a fixed grid of _BUMP_PANELS panels."""
+    n = _BUMP_PANELS
+    z = np.linspace(-1.0, 1.0, 2 * n + 1)
+    vals = np.zeros_like(z)
+    interior = np.abs(z) < 1.0
+    vals[interior] = np.exp(1.0 / (z[interior] ** 2 - 1.0))
+    h = z[1] - z[0]
+    panel = (h / 3.0) * (vals[0:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2])
+    cum = np.concatenate(([0.0], np.cumsum(panel)))
+    raw_mass = float(cum[-1])
+    return z[::2], cum / raw_mass, raw_mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,22 +132,6 @@ class Kernel:
         return _OpenStep(np.asarray(self.breakpoints, dtype=float),
                          np.asarray(self.values, dtype=float)[:, None])
 
-    @cached_property
-    def _bump_table(self):
-        # base profile exp(1/(z^2 - 1)) on (-1, 1); cumulative composite
-        # Simpson on a fixed grid provides both the normalizing mass and
-        # the antiderivative table
-        n = _BUMP_PANELS
-        z = np.linspace(-1.0, 1.0, 2 * n + 1)
-        vals = np.zeros_like(z)
-        interior = np.abs(z) < 1.0
-        vals[interior] = np.exp(1.0 / (z[interior] ** 2 - 1.0))
-        h = z[1] - z[0]
-        panel = (h / 3.0) * (vals[0:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2])
-        cum = np.concatenate(([0.0], np.cumsum(panel)))
-        raw_mass = float(cum[-1])
-        return z[::2], cum / raw_mass, raw_mass
-
     @property
     def mass(self) -> float:
         """Integral of the kernel over the line."""
@@ -160,38 +163,56 @@ class Kernel:
 
     def density(self, z):
         za = np.asarray(z, dtype=float)
+        if self.kind == "custom_step":
+            return self._step._eval(za)
         hw = self.half_width
+        u = za / hw  # unit coordinates: for h = 1, scaled(t) computes phi(x/t)/t as written
         if self.kind == "box":
-            return np.where(np.abs(za) < hw, 0.5 / hw, 0.0)
+            return np.where(np.abs(u) < 1.0, 0.5 / hw, 0.0)
         if self.kind == "triangle":
-            return np.maximum(0.0, hw - np.abs(za)) / hw**2
-        if self.kind == "smooth_bump":
-            _, _, raw_mass = self._bump_table
-            u = za / hw
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            out[inside] = np.exp(1.0 / (u[inside] ** 2 - 1.0)) / (raw_mass * hw)
-            return out
-        return self._step._eval(za)
+            return np.maximum(0.0, 1.0 - np.abs(u)) / hw
+        _, _, raw_mass = _bump_table()
+        out = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        out[inside] = np.exp(1.0 / (u[inside] ** 2 - 1.0)) / raw_mass / hw
+        return out
 
     def cdf(self, z):
         """Exact antiderivative: integral of the kernel over (-inf, z]."""
         za = np.asarray(z, dtype=float)
-        hw = self.half_width
+        if self.kind == "custom_step":
+            return self._step.primitive(za)
+        u = za / self.half_width
         if self.kind == "box":
-            return np.clip((za + hw) / (2.0 * hw), 0.0, 1.0)
+            # in place for arrays: a block here needs one temporary, not three;
+            # with three, domination_check faulted in fresh heap pages on every
+            # call in about half of the processes (glibc trims the freed top)
+            u += 1.0
+            u /= 2.0
+            return np.clip(u, 0.0, 1.0, out=u if u.ndim else None)
         if self.kind == "triangle":
-            zc = np.clip(za, -hw, hw)
-            lower = (zc + hw) ** 2 / (2.0 * hw**2)
-            upper = 1.0 - (hw - zc) ** 2 / (2.0 * hw**2)
-            return np.where(zc <= 0.0, lower, upper)
-        if self.kind == "smooth_bump":
-            grid, cdf, _ = self._bump_table
-            return np.interp(za / hw, grid, cdf)
-        return self._step.primitive(za)
+            uc = np.clip(u, -1.0, 1.0)
+            lower = (uc + 1.0) ** 2 / 2.0
+            upper = 1.0 - (1.0 - uc) ** 2 / 2.0
+            return np.where(uc <= 0.0, lower, upper)
+        grid, cdf, _ = _bump_table()
+        return np.interp(u, grid, cdf)
 
-    def scaled(self, t: float) -> "ScaledKernel":
-        return ScaledKernel(self, t)
+    def scaled(self, t: float) -> "Kernel":
+        """phi_t(x) = phi(x/t)/t: a kernel of the same kind and mass on
+        (-t h, t h).  A custom step kernel gets breakpoints t*a_i and values
+        c_i/t.  Raises ValueError unless t is finite and positive, and when
+        some c_i/t exceeds the float range."""
+        if not (np.isfinite(t) and t > 0):
+            raise ValueError("kernel scale t must be finite and positive")
+        if self.kind != "custom_step":
+            return Kernel(self.kind, t * self.half_width)
+        with np.errstate(over="ignore"):
+            vals = np.asarray(self.values) / t
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"kernel values over t = {t!r} exceed the float range")
+        bk = t * np.asarray(self.breakpoints)
+        return Kernel("custom_step", float(bk[-1]), tuple(bk.tolist()), tuple(vals.tolist()))
 
 
 def box_kernel(half_width: float = 1.0) -> Kernel:
@@ -227,32 +248,6 @@ def custom_step_kernel(breakpoints, values, normalize: bool = True) -> Kernel:
         vals = vals / mass
     bk, vals = _canonical(bk, vals)
     return Kernel("custom_step", hw, tuple(bk.tolist()), tuple(vals.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledKernel:
-    """phi_t(x) = phi(x/t)/t: same mass, support shrunk to (-t h, t h)."""
-
-    base: Kernel
-    t: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.t) and self.t > 0):
-            raise ValueError("kernel scale t must be finite and positive")
-
-    def density(self, x):
-        return self.base.density(np.asarray(x, dtype=float) / self.t) / self.t
-
-    def cdf(self, x):
-        return self.base.cdf(np.asarray(x, dtype=float) / self.t)
-
-    @property
-    def mass(self) -> float:
-        return self.base.mass
-
-    @property
-    def support_knots(self) -> np.ndarray:
-        return self.t * self.base.support_knots
 
 
 def radial_majorant(phi: Kernel) -> Kernel:
@@ -356,13 +351,13 @@ class MaximalFunction:
         x = (np.arange(n) + 0.5) / n
         return x, self(x)
 
-    def cell_average_step(self, n: int, panels: int = 4) -> StepFunction:
+    def cell_average_step(self, n: int) -> StepFunction:
         """Step function of per-cell averages (composite Simpson per cell),
         accurate enough that pointwise domination survives cell averaging."""
         if n < 1:
             raise ValueError("need at least one cell")
         edges = np.linspace(0.0, 1.0, n + 1)
-        m = 2 * panels
+        m = 2 * _CELL_PANELS
         offs = np.linspace(0.0, 1.0, m + 1)
         pts = edges[:-1, None] + (1.0 / n) * offs[None, :]
         vals = self(pts.ravel()).reshape(n, m + 1)
@@ -381,7 +376,7 @@ def maximal(f: StepFunction) -> MaximalFunction:
 # -- convolution --------------------------------------------------------
 
 
-def convolution_values(phi_t: ScaledKernel, f: StepFunction, x) -> np.ndarray:
+def convolution_values(phi_t: Kernel, f: StepFunction, x) -> np.ndarray:
     """(phi_t * f)(x) via the kernel antiderivative: exact for box,
     triangle, and custom step kernels; table-backed for the smooth bump."""
     if np.ndim(x) > 1:
@@ -467,31 +462,38 @@ def _as_poly(g) -> PiecewisePoly:
     raise ValueError("expected a PiecewisePoly or StepFunction")
 
 
-def convolve(phi_t: ScaledKernel, f: StepFunction,
-             samples: int = _BUMP_SAMPLES) -> PiecewisePoly:
+def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
     """phi_t * f with f zero-extended.
 
     Exact piecewise polynomial (degree 1 for step kernels, 2 for the
-    triangle) on the grid of all sums breakpoint + t*knot; the smooth bump
-    is sampled on a uniform grid of `samples` cells and returned as a
-    piecewise-linear interpolant.
+    triangle) on the grid of all sums breakpoint + knot; the smooth bump
+    is sampled on a uniform grid of _BUMP_SAMPLES cells and returned as a
+    piecewise-linear interpolant.  A degree-1 cell is the line through its
+    values at 1/4 and 3/4 of the cell, not at its ends: a knot b + t*a
+    that rounds into the neighbouring cell moves an end value, and at
+    small t (all knots of b rounding to b) an end value mixes two levels.
     """
-    if not isinstance(phi_t, ScaledKernel):
-        raise ValueError("convolve needs a ScaledKernel (use kernel.scaled(t))")
-    deg = phi_t.base.cdf_degree
+    deg = phi_t.cdf_degree
     if deg is None:
         lo = f.breakpoints[0] + phi_t.support_knots[0]
         hi = f.breakpoints[-1] + phi_t.support_knots[-1]
-        bkps = np.linspace(lo, hi, samples + 1)
-        deg = 1
+        bkps = np.linspace(lo, hi, _BUMP_SAMPLES + 1)
     else:
         bkps = np.unique((f.breakpoints[:, None] + phi_t.support_knots[None, :]).ravel())
-    vals = convolution_values(phi_t, f, bkps)
-    w = np.diff(bkps)
+    left, w = bkps[:-1], np.diff(bkps)
     n = len(w)
     coeffs = np.zeros((n, 3))
-    coeffs[:, 0] = vals[:-1]
     if deg == 1:
+        x1, x3 = left + 0.25 * w, left + 0.75 * w
+        v = convolution_values(phi_t, f, np.concatenate((x1, x3)))
+        v1, v3 = v[:n], v[n:]
+        # a cell two ulps wide can round both points together: take it flat
+        coeffs[:, 1] = np.divide(v3 - v1, x3 - x1, out=np.zeros(n), where=x3 > x1)
+        coeffs[:, 0] = v1 - coeffs[:, 1] * (x1 - left)
+        return PiecewisePoly(bkps, coeffs)
+    vals = convolution_values(phi_t, f, bkps)
+    coeffs[:, 0] = vals[:-1]
+    if deg is None:
         coeffs[:, 1] = np.diff(vals) / w
     else:
         mids = 0.5 * (bkps[:-1] + bkps[1:])
@@ -535,8 +537,7 @@ class DominationReport:
         return self.min_slack >= -self.tolerance
 
 
-def domination_check(phi: Kernel, f: StepFunction, x_grid, t_grid,
-                     tolerance: float = 1e-9) -> DominationReport:
+def domination_check(phi: Kernel, f: StepFunction, x_grid, t_grid) -> DominationReport:
     """Evaluate Mf - |phi_t * f| on the grid and report the worst slack."""
     x = np.asarray(x_grid, dtype=float)
     M = maximal(f)(x)
@@ -555,7 +556,7 @@ def domination_check(phi: Kernel, f: StepFunction, x_grid, t_grid,
         worst_x=worst[0],
         worst_t=worst[1],
         n_points=len(x) * len(np.atleast_1d(t_grid)),
-        tolerance=tolerance,
+        tolerance=_DOMINATION_TOL,
     )
 
 

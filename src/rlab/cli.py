@@ -4,7 +4,8 @@ Verbs: norm, rearrange, maximal, embed-check, embed-probe, mollify-sweep,
 eps-profile.  Inputs are JSON (inline or file paths); outputs are JSON or
 CSV with '.' decimals and 17-significant-digit floats, deterministic for a
 fixed command line and seed.  Exit codes: 0 success, 1 validation error,
-2 computation error (e.g. quadrature non-convergence or overflow).
+2 computation error (e.g. quadrature non-convergence, overflow, or a
+request for more memory than the machine has).
 
 Only eps-profile (whose CSV header records the size) and the downward
 check of embed-check read an eps grid, sized by --grid (default 2048, at
@@ -287,7 +288,7 @@ def run(argv=None) -> int:
     except QuadratureError as exc:
         sys.stderr.write(f"computation error: {exc}\n")
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         sys.stderr.write(f"computation error: {type(exc).__name__}: {exc}\n")
         return 2
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:

@@ -39,6 +39,8 @@ __all__ = [
     "domination_slice_check",
 ]
 
+_SLICE_TOL = 1e-10  # SliceDominationReport.tolerance of domination_slice_check
+
 
 @dataclass
 class EmbeddingVerdict:
@@ -188,8 +190,7 @@ class _ExtendedWeight:
 
 
 def downward_check(p: float, q: float, w: Weight, v: Weight,
-                   upper: float = 1.0, grid_size: Optional[int] = None,
-                   rel_tol: float = 1e-10) -> EmbeddingVerdict:
+                   upper: float = 1.0, grid_size: Optional[int] = None) -> EmbeddingVerdict:
     """Downward inclusion condition for 1 < q < p, with r from
     1/r = 1/q - 1/p: for each grid eps in (0, q-1) the quantity
 
@@ -200,8 +201,9 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     K^beta c_w t^gamma, integrated in closed form; it diverges exactly when
     c_w > 0 and gamma <= -1, and the first such eps is reported with value
     inf.  The bounded integrands on the other knot intervals, for every
-    eps below that one, go through one integrate_batch call at rel_tol; a
-    non-finite estimate there also counts as divergence at its eps.
+    eps below that one, go through one integrate_batch call at its default
+    rel_tol (1e-10); a non-finite estimate there also counts as divergence
+    at its eps.
     upper defaults to 1 (the ambient interval); larger values extend both
     weights beyond 1 by their density at 1.  Both weights are first divided
     by their masses (_unit_mass), so the integral scales by
@@ -237,8 +239,7 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
             return (ew.primitive(t) / ev.primitive(t)) ** powers[k] * ew.density(t)
 
         try:
-            res = integrate_batch(integrand, np.tile(knots[1:-1], n), np.tile(knots[2:], n),
-                                  rel_tol=rel_tol)
+            res = integrate_batch(integrand, np.tile(knots[1:-1], n), np.tile(knots[2:], n))
         except QuadratureError as exc:
             if math.isfinite(exc.value):
                 raise
@@ -398,19 +399,18 @@ class SliceDominationReport:
 
 def domination_slice_check(f: StepFunction, p: float, q: float,
                            mu: MeasureDensity, nu: MeasureDensity,
-                           grid_size: Optional[int] = None,
-                           tolerance: float = 1e-10) -> SliceDominationReport:
+                           grid_size: Optional[int] = None) -> SliceDominationReport:
     """If nu <= C mu then each eps slice of the nu-weighted grand Lorentz
     functional is at most C^(1/(q-eps)) times the mu-weighted one; reports
     the worst slack over the eps grid."""
     C = domination_constant(mu, nu)
     if not math.isfinite(C):
         return SliceDominationReport(constant=math.inf, min_slack=-math.inf,
-                                     worst_eps=math.nan, tolerance=tolerance)
+                                     worst_eps=math.nan, tolerance=_SLICE_TOL)
     eps = eps_grid(float(q) - 1.0, grid_size)
     slice_nu = grand_lorentz_slice_values(f, p, q, eps, t_weight=nu)
     slice_mu = grand_lorentz_slice_values(f, p, q, eps, t_weight=mu)
     slack = C ** (1.0 / (float(q) - eps)) * slice_mu - slice_nu
     i = int(np.argmin(slack))
     return SliceDominationReport(constant=C, min_slack=float(slack[i]),
-                                 worst_eps=float(eps[i]), tolerance=tolerance)
+                                 worst_eps=float(eps[i]), tolerance=_SLICE_TOL)

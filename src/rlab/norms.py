@@ -431,8 +431,7 @@ def lorentz_pq_norm(f: StepFunction, p: float, q: float,
 
 
 def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
-                         mu: Optional[MeasureDensity] = None,
-                         rel_tol: float = 1e-10) -> float:
+                         mu: Optional[MeasureDensity] = None) -> float:
     """Lorentz norm with f* replaced by its running average f**.
 
     Needs p > 1 (the tail t^{q/p - q - 1} must be integrable at infinity).
@@ -440,9 +439,9 @@ def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
     so f** is built with f*'s top level and last breakpoint factored out,
     and the q-th power integrals are summed in log-sum-exp form.  The first
     segment and the tail are power rules; the others, (a + b/t)^q, go
-    through one integrate_batch call at rel_tol in u = log t, each
-    integrand divided by its larger end value (its log is convex in u), so
-    a peak at a segment end cannot hide from the first panel.  Raises
+    through one integrate_batch call (default rel_tol, 1e-10) in u = log t,
+    each integrand divided by its larger end value (its log is convex in
+    u), so a peak at a segment end cannot hide from the first panel.  Raises
     OverflowError when the norm itself exceeds the float range.
     """
     spec = SpaceSpec("lorentz_pq_star", p, q, measure=mu)
@@ -467,7 +466,7 @@ def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
                                 q * math.log(avg.tail_mass) - math.log(q - e)],  # past t = 1
                                ends + np.log(integrate_batch(
                                    lambda x, k: np.exp(e * x + q * np.log(a[k] + b[k] * np.exp(-x)) - ends[k]),
-                                   u[:-1], u[1:], rel_tol=rel_tol).value) if a.size else []))
+                                   u[:-1], u[1:]).value) if a.size else []))
         peak = logs.max()
         norm = math.exp((math.log(e) + peak + math.log(np.sum(np.exp(logs - peak)))) / q)
     out = top * end ** (1.0 / p) * norm

@@ -3,8 +3,8 @@
 Power weights coeff * t**alpha with alpha > -1 are kept symbolic so their
 integrals use the exact power rule rather than a step approximation; step
 weights are MeasureDensity objects (a bare StepFunction is wrapped as one).
-Both kinds offer w(t) and the primitive W(t) = integral of w over (0, t);
-a WeightPrimitive wraps the latter.
+Both kinds offer w(t) and the primitive W(t) = integral of w over (0, t),
+as __call__ and primitive.
 """
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ import numpy as np
 
 from .stepfn import MeasureDensity, StepFunction, measure_from_json, step_from_json
 
-__all__ = ["PowerWeight", "Weight", "WeightPrimitive", "w_primitive", "weight_from_json",
-           "weight_to_json"]
+__all__ = ["PowerWeight", "Weight", "weight_from_json", "weight_to_json"]
 
 
 @dataclass(frozen=True)
@@ -66,26 +65,6 @@ def segment_weight_integrals(w: Weight, bk: np.ndarray) -> np.ndarray:
     if isinstance(w, PowerWeight):
         return w.segment_integrals(bk)
     return np.diff(w.primitive(bk))
-
-
-@dataclass(frozen=True)
-class WeightPrimitive:
-    """W(t) = integral of the weight over (0, t), evaluable on (0, 1]."""
-
-    weight: Weight
-
-    def __call__(self, t):
-        return _as_weight(self.weight).primitive(t)
-
-    @property
-    def at_one(self) -> float:
-        return float(self(1.0))
-
-
-def w_primitive(w: Weight) -> WeightPrimitive:
-    """Primitive W of a nonnegative weight; errors on non-integrable powers."""
-    _as_weight(w)  # rejects other types and negative steps; PowerWeight checked alpha
-    return WeightPrimitive(w)
 
 
 def weight_from_json(obj) -> Weight:

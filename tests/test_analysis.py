@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlab import (PiecewisePoly, SpaceSpec, box_kernel, bump_kernel,
                   integrate,
@@ -13,7 +14,7 @@ from rlab import (PiecewisePoly, SpaceSpec, box_kernel, bump_kernel,
                   kernel_to_json, make_step, maximal, radial_majorant,
                   step_approximate, triangle_kernel)
 from rlab import analysis
-from rlab.analysis import Kernel, ScaledKernel
+from rlab.analysis import Kernel
 from rlab.weights import PowerWeight
 
 from oracles import brute_maximal
@@ -79,7 +80,7 @@ def test_kernel_validation():
 
 def test_scaled_kernel_geometry():
     phi = box_kernel().scaled(0.1)
-    assert isinstance(phi, ScaledKernel)
+    assert isinstance(phi, Kernel)
     assert phi.mass == 1.0
     assert np.allclose(phi.support_knots, [-0.1, 0.1])
     assert phi.density(0.05) == pytest.approx(5.0, rel=1e-15)
@@ -87,6 +88,49 @@ def test_scaled_kernel_geometry():
     assert phi.cdf(0.0) == pytest.approx(0.5, rel=1e-15)
     with pytest.raises(ValueError):
         box_kernel().scaled(0.0)
+
+
+def test_scaled_kernel_rejects_bad_scales():
+    for t in (0.0, -0.5, math.inf, math.nan):
+        for k in (triangle_kernel(), custom_step_kernel([-1.0, 0.0, 1.0], [0.5, 2.0])):
+            with pytest.raises(ValueError):
+                k.scaled(t)
+    # a custom kernel's values over t must stay in the float range
+    big = custom_step_kernel([-1.0, 1.0], [1e300], normalize=False)
+    with pytest.raises(ValueError, match="float range"):
+        big.scaled(1e-10)
+    assert big.scaled(1e-8).values == (1e308,)
+
+
+_U = 2.0**-53
+_KERNELS = (box_kernel(0.7), triangle_kernel(2.0), bump_kernel(),
+            custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5]),
+            custom_step_kernel([-0.5, 0.125, 0.5], [4.0, 1.0], normalize=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from(_KERNELS), t=st.floats(1e-6, 1e3), s=st.floats(1e-6, 1e3),
+       z=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=8))
+def test_scaled_kernel_is_phi_of_x_over_t(k, t, s, z):
+    h = k.half_width
+    phi = k.scaled(t)
+    assert phi.kind == k.kind
+    assert phi.half_width == pytest.approx(t * h, rel=2 * _U)
+    assert phi.mass == pytest.approx(k.mass, rel=8 * _U)
+    # points off the knots, where density and cdf are continuous in x
+    z = np.array([v for v in z if np.min(np.abs(v - k.support_knots / h)) > 1e-9])
+    x = t * h * z
+    peak = np.max(k.density(np.linspace(-h, h, 1001))) / t
+    assert np.all(np.abs(phi.density(x) - k.density(x / t) / t) <= 8 * _U * peak)
+    assert np.all(np.abs(phi.cdf(x) - k.cdf(x / t)) <= 8 * _U * k.mass)
+    twice, once = k.scaled(s).scaled(t), k.scaled(s * t)
+    assert twice.kind == once.kind
+    assert twice.half_width == pytest.approx(once.half_width, rel=4 * _U)
+    if k.kind == "custom_step":
+        assert np.allclose(twice.breakpoints, once.breakpoints, rtol=4 * _U, atol=0.0)
+        assert np.allclose(twice.values, once.values, rtol=4 * _U, atol=0.0)
+        back = kernel_from_json(kernel_to_json(phi))
+        assert (back.breakpoints, back.values) == (phi.breakpoints, phi.values)
 
 
 # ---------------------------------------------------------------- majorant
@@ -264,9 +308,16 @@ def test_convolution_commutes_with_translation():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_convolve_requires_scaled_kernel():
-    with pytest.raises(ValueError):
-        convolve(box_kernel(), CHI)
+@pytest.mark.parametrize("t", [1e-6, 1e-9, 1e-12, 1e-17, 1e-300])
+def test_convolve_is_exact_on_plateaus_at_small_scales(t):
+    # away from f's breakpoints phi_t * f is f times the kernel's mass; the
+    # cells there must not lean on end values whose knots rounded across
+    f = make_step([0.0, 0.3, 0.7, 1.0], [2.0, -1.0, 0.5])
+    x = np.concatenate((np.linspace(0.001, 0.999, 999), [0.15, 0.5, 0.85]))
+    for k in (box_kernel(), custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5])):
+        far = x[np.min(np.abs(x[:, None] - f.breakpoints), axis=1) > 10 * t * k.half_width]
+        got = convolve(k.scaled(t), f)(far)
+        assert np.all(np.abs(got - f(far)) <= 4 * _U * np.abs(f(far))), (k.kind, t)
 
 
 # ---------------------------------------------------------------- poly algebra

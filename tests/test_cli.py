@@ -360,6 +360,20 @@ def test_exit_code_on_overflow(capsys):
     assert "Traceback" not in err
 
 
+# 10**15 float64 values is petabytes: numpy refuses it before touching memory
+@pytest.mark.parametrize("argv", [
+    ["maximal", "--fn", CHI_JSON, "--samples", str(10**15)],
+    SWEEP_ARGS + ["--cells", str(10**15)],
+    ["eps-profile", "--fn", CHI_JSON, "--spec", GRAND22, "--grid", str(10**15)],
+], ids=["maximal", "mollify-sweep", "eps-profile"])
+def test_exit_code_on_memory_error(argv, capsys):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("computation error: MemoryError")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "--spec", L22, "--fn", CHI_JSON],
     ["norm", "--spec", STAR22, "--fn", HUGE_JSON],

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rlab import (MeasureDensity, PowerWeight, WeightPrimitive, make_step,
-                  w_primitive, weight_from_json, weight_to_json)
-from rlab.weights import segment_weight_integrals
+from rlab import (MeasureDensity, PowerWeight, make_step, weight_from_json,
+                  weight_to_json)
+from rlab.weights import _as_weight, segment_weight_integrals
 
 
 def test_power_weight_values():
@@ -65,24 +65,23 @@ def test_negative_step_weight_rejected():
     with pytest.raises(ValueError):
         segment_weight_integrals(bad, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        w_primitive(bad)
+        _as_weight(bad)
 
 
 def test_primitive_power_weight():
-    W = w_primitive(PowerWeight(alpha=-0.5, coeff=1.0))
-    assert isinstance(W, WeightPrimitive)
+    W = PowerWeight(alpha=-0.5, coeff=1.0).primitive
     t = np.array([0.01, 0.25, 1.0])
     assert np.allclose(W(t), 2.0 * np.sqrt(t), rtol=1e-15)
-    assert W.at_one == pytest.approx(2.0)
+    assert float(W(1.0)) == pytest.approx(2.0)
 
 
 def test_primitive_step_weight():
     dens = make_step([0.0, 0.5, 1.0], [2.0, 1.0])
-    W = w_primitive(dens)
+    W = dens.primitive
     assert W(0.25) == pytest.approx(0.5)
     assert W(0.5) == pytest.approx(1.0)
     assert W(0.75) == pytest.approx(1.25)
-    assert W.at_one == pytest.approx(1.5)
+    assert float(W(1.0)) == pytest.approx(1.5)
     assert W(0.0) == pytest.approx(0.0)
 
 
@@ -92,7 +91,7 @@ def test_primitive_matches_segment_sums():
         alpha = float(rng.uniform(-0.9, 3.0))
         coeff = float(rng.uniform(0.1, 5.0))
         w = PowerWeight(alpha=alpha, coeff=coeff)
-        W = w_primitive(w)
+        W = w.primitive
         bk = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=5))))
         partial = np.cumsum(segment_weight_integrals(w, bk))
         assert np.allclose(partial, W(bk[1:]), rtol=1e-12)
@@ -108,7 +107,7 @@ def test_primitive_matches_segment_sums():
         bk = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, size=5))))
         steps = np.diff(mu.primitive(bk))
         for w in (dens, mu):
-            assert np.array_equal(np.diff(w_primitive(w)(bk)), steps)
+            assert np.array_equal(np.diff(w.primitive(bk)), steps)
             assert np.array_equal(segment_weight_integrals(w, bk), steps)
         assert np.array_equal([mu.interval_mass(a, b) for a, b in zip(bk[:-1], bk[1:])], steps)
 
