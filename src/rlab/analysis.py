@@ -9,17 +9,23 @@ interval [x - r, x + r] with r = |x - b| has the breakpoint b itself as
 one end, so its average is |F(b) - F(2x - b)| / (2r) with F the primitive
 of |f|: one interpolation per (point, breakpoint) pair.
 
-The maximal operator and convolution_values walk their evaluation points
-in blocks of max(1, _BLOCK // len(breakpoints)) points, so no temporary
-holds more than _BLOCK = 2**14 float64 values (128 KiB) unless a single
-point already needs more, and memory does not grow with points x
-breakpoints.  The budget stays at glibc's default mmap threshold: larger
-temporaries are served from freshly mapped pages that fault on every
-call, which made a 512 KiB budget slower per call than this one.
+The pairwise operators (the maximal operator, and convolution_values for
+the triangle and the bump) walk their evaluation points in blocks of
+max(1, _BLOCK // len(breakpoints)) points; step-kernel convolutions, which
+touch O(knots) segments per point, in blocks of _BLOCK // (2 * knots).  So
+no temporary holds more than _BLOCK = 2**14 float64 values (128 KiB)
+unless a single point already needs more, and memory does not grow with
+points x breakpoints.  The budget stays at glibc's default mmap threshold:
+larger temporaries are served from freshly mapped pages that fault on
+every call, which made a 512 KiB budget slower per call than this one.
 
 Mollifier kernels phi are scaled as phi_t(x) = phi(x/t)/t, which is again
 a kernel of the same kind (Kernel.scaled).  Convolutions phi_t * f are
-assembled from the kernel's exact antiderivative: the result is piecewise
+assembled from the kernel's exact antiderivative K.  For step kernels only
+the segments that hold an image of a kernel knot need K; the segments
+between two images lie under one kernel piece and add up through f's
+compensated prefix masses, so a point costs O(knots * log n), not O(n)
+(convolution_values states the error bound).  The result is piecewise
 linear for step kernels, piecewise quadratic for the triangle kernel, and
 a piecewise-linear interpolant on a uniform grid of _BUMP_SAMPLES = 2048
 cells for the smooth bump (whose own normalization constant is computed
@@ -333,13 +339,20 @@ class MaximalFunction:
         xa = np.atleast_1d(xa).astype(float)
         bk, cum = self._abs.breakpoints[:, None], self._abs._cum[:, None]
         best = np.empty(len(xa))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for blk in _point_blocks(len(xa), len(bk)):
-                xb = xa[None, blk]
-                far = self._abs.primitive(2.0 * xb - bk)
-                width = 2.0 * np.abs(xb - bk)
-                avgs = np.where(width > 0.0, np.abs(cum - far) / width, 0.0)
-                best[blk] = avgs.max(axis=0)
+        for blk in _point_blocks(len(xa), len(bk)):
+            xb = xa[None, blk]
+            width = 2.0 * xb - bk
+            far = self._abs.primitive(width)
+            # in place, so a block makes two temporaries (see the module
+            # docstring).  Where the width is 0, x = b_j and far = cum[j]
+            # exactly, so the average left undivided there is 0
+            np.subtract(xb, bk, out=width)
+            np.abs(width, out=width)
+            width *= 2.0
+            np.subtract(cum, far, out=far)
+            np.abs(far, out=far)
+            np.divide(far, width, out=far, where=width > 0.0)
+            best[blk] = far.max(axis=0)
         left, right = self._sided_values(xa)
         out = np.maximum(best, 0.5 * (left + right))
         return float(out[0]) if scalar else out
@@ -377,16 +390,81 @@ def maximal(f: StepFunction) -> MaximalFunction:
 
 
 def convolution_values(phi_t: Kernel, f: StepFunction, x) -> np.ndarray:
-    """(phi_t * f)(x) via the kernel antiderivative: exact for box,
-    triangle, and custom step kernels; table-backed for the smooth bump."""
+    """(phi_t * f)(x) = sum_k v_k [K(x - b_k) - K(x - b_{k+1})], K the
+    kernel's antiderivative: exact up to rounding for box, triangle and
+    custom step kernels, table-backed for the smooth bump.  The triangle
+    and the bump evaluate K at every (point, breakpoint) pair.
+
+    Step kernels (knots a_0 < ... < a_M, value c_m on piece m) cost
+    O(M log n) per point.  The exact image of a knot, x - a_m, lies strictly
+    between the float neighbours of its rounded value: in that value's
+    segment, or also in the one before when the value is a breakpoint.
+    Those segments keep the term above.  The segments between the images
+    of a_{m+1} and a_m lie inside piece m and add up to c_m times a
+    difference of f's prefix masses, held as the TwoSum pair _cum, _cum_err.
+    With u = 2**-53, c_max = max c_m, h the half-width, V(x) the largest |f|
+    on a segment that meets [x - h, x + h] and n segments, the error is at
+    most
+
+        c_max * (h u (32 (M + 2)**2 V(x) + 4 n**2 max|f|) + n 2**-1074):
+
+    the cdf values near the knot images, the prefix masses (reached only by
+    runs of segments a few ulps wide), and products v_k w_k that round to
+    subnormals.  Near 0 those cost relative precision: 40 segments of width
+    2**-1070 under one window give up to 5.5e-3 of phi_t * |f|, of width
+    2**-1060 up to 3.3e-6.
+    """
     if np.ndim(x) > 1:
         raise ValueError(f"points must be a scalar or a 1-d array, got shape {np.shape(x)}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if phi_t.cdf_degree == 1:
+        return _step_kernel_values(phi_t, f, xa)
     bk = f.breakpoints
     out = np.empty(len(xa))
     for blk in _point_blocks(len(xa), len(bk)):
         cdfs = phi_t.cdf(xa[blk, None] - bk[None, :])
         out[blk] = (cdfs[:, :-1] - cdfs[:, 1:]) @ f.values
+    return out
+
+
+def _step_kernel_values(phi_t: Kernel, f: StepFunction, x: np.ndarray) -> np.ndarray:
+    """convolution_values for a step kernel.  Arrays are laid out knots x
+    points (rows ascend for sorted x), in blocks of points whose
+    temporaries stay within _BLOCK values (2 per knot and point)."""
+    bk, v = f.breakpoints, f.values
+    hi, lo = f._cum, f._cum_err
+    knots = phi_t.support_knots[:, None]
+    out = np.empty(len(x))
+    for blk in _point_blocks(len(x), 2 * len(knots)):
+        xb = x[blk]
+        img = xb - knots  # x - a_m, decreasing in m
+        H = np.searchsorted(bk, img, side="right") - 1  # segment of img, in [-1, n]
+        # b_H and b_{H+1}; off the grid both clip to one end and K cancels
+        ends = np.take(bk, np.stack((H, H + 1)), mode="clip")
+        # the exact image lies strictly between the float neighbours of img:
+        # in segment H, or also in H - 1 when img is the breakpoint b_H
+        on = ends[0] == img
+        # covered runs: segments H[m+1]+1 .. L[m]-1 (L = H - on) lie inside piece m
+        start = H[1:] + 1
+        stop = np.maximum(H[:-1] - on[:-1], start)
+        mass = ((np.take(hi, stop, mode="clip") - np.take(hi, start, mode="clip"))
+                + (np.take(lo, stop, mode="clip") - np.take(lo, start, mode="clip")))
+        if phi_t.kind == "box":  # its density 1/(2h) may overflow where this does not
+            total = mass[0] / (2.0 * phi_t.half_width)
+        else:
+            total = np.asarray(phi_t.values) @ mass
+        # boundary segments: H[m] once (knot m+1 takes it when H[m+1] = H[m])
+        cdf = phi_t.cdf(xb - ends)
+        terms = np.take(v, H, mode="clip") * (cdf[0] - cdf[1])
+        total += terms[-1] + np.where(H[:-1] > H[1:], terms[:-1], 0.0).sum(axis=0)
+        # and H[m] - 1 when img is b_H and no other knot takes that segment
+        if on.any():
+            on[:-1] &= H[:-1] - 1 > H[1:]
+            m, p = np.nonzero(on)
+            s = H[m, p] - 1
+            cdf = phi_t.cdf(xb[p] - np.take(bk, np.stack((s, s + 1)), mode="clip"))
+            np.add.at(total, p, np.take(v, s, mode="clip") * (cdf[0] - cdf[1]))
+        out[blk] = total
     return out
 
 
@@ -469,9 +547,12 @@ def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
     triangle) on the grid of all sums breakpoint + knot; the smooth bump
     is sampled on a uniform grid of _BUMP_SAMPLES cells and returned as a
     piecewise-linear interpolant.  A degree-1 cell is the line through its
-    values at 1/4 and 3/4 of the cell, not at its ends: a knot b + t*a
-    that rounds into the neighbouring cell moves an end value, and at
-    small t (all knots of b rounding to b) an end value mixes two levels.
+    values at 1/4 and 3/4 of the cell, a degree-2 cell the parabola through
+    1/4, 1/2 and 3/4 at the points' actual offsets, not through its ends: a
+    knot b + t*a that rounds into the neighbouring cell moves an end value,
+    and at small t (all knots of b rounding to b) an end value mixes two
+    levels.  Within rounding of a knot the triangle's value can still be
+    off by about |jump of f| * (ulp(b) / t)**2.
     """
     deg = phi_t.cdf_degree
     if deg is None:
@@ -483,25 +564,32 @@ def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
     left, w = bkps[:-1], np.diff(bkps)
     n = len(w)
     coeffs = np.zeros((n, 3))
-    if deg == 1:
-        x1, x3 = left + 0.25 * w, left + 0.75 * w
-        v = convolution_values(phi_t, f, np.concatenate((x1, x3)))
-        v1, v3 = v[:n], v[n:]
-        # a cell two ulps wide can round both points together: take it flat
-        coeffs[:, 1] = np.divide(v3 - v1, x3 - x1, out=np.zeros(n), where=x3 > x1)
-        coeffs[:, 0] = v1 - coeffs[:, 1] * (x1 - left)
-        return PiecewisePoly(bkps, coeffs)
-    vals = convolution_values(phi_t, f, bkps)
-    coeffs[:, 0] = vals[:-1]
     if deg is None:
+        vals = convolution_values(phi_t, f, bkps)
+        coeffs[:, 0] = vals[:-1]
         coeffs[:, 1] = np.diff(vals) / w
-    else:
-        mids = 0.5 * (bkps[:-1] + bkps[1:])
-        vm = convolution_values(phi_t, f, mids)
-        vl, vr = vals[:-1], vals[1:]
-        coeffs[:, 2] = (2.0 * vl + 2.0 * vr - 4.0 * vm) / w**2
-        coeffs[:, 1] = (vr - vl) / w - coeffs[:, 2] * w
+        return PiecewisePoly(bkps, coeffs)
+    # Newton form through the values at 1/4, (1/2,) 3/4 of each cell, at the
+    # points' actual offsets u from its left end
+    x = [left + s * w for s in ((0.25, 0.75) if deg == 1 else (0.25, 0.5, 0.75))]
+    v = np.split(convolution_values(phi_t, f, np.concatenate(x)), deg + 1)
+    u1 = x[0] - left
+    d1 = _slope(v[0], v[1], x[0], x[1])
+    coeffs[:, 0] = v[0] - d1 * u1
+    coeffs[:, 1] = d1
+    if deg == 2:
+        c2 = _slope(d1, _slope(v[1], v[2], x[1], x[2]), x[0], x[2])
+        u2 = x[1] - left
+        coeffs[:, 0] += c2 * u1 * u2
+        coeffs[:, 1] -= c2 * (u1 + u2)
+        coeffs[:, 2] = c2
     return PiecewisePoly(bkps, coeffs)
+
+
+def _slope(va, vb, xa, xb):
+    """Divided difference (vb - va) / (xb - xa); 0 in a cell a few ulps
+    wide where rounding put both points together (the cell is then flat)."""
+    return np.divide(vb - va, xb - xa, out=np.zeros(len(va)), where=xb > xa)
 
 
 def step_approximate(g: Union[PiecewisePoly, StepFunction], n: int = 4096) -> StepFunction:

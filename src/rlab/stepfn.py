@@ -94,6 +94,16 @@ class _Piecewise:
             cells = cells + c[:, 1] * w**2 / 2.0 + c[:, 2] * w**3 / 3.0
         return np.concatenate(([0.0], np.cumsum(cells)))
 
+    @cached_property
+    def _cum_err(self) -> np.ndarray:
+        """For a step: the running sum of the rounding errors of ``_cum``'s
+        additions (TwoSum, exact per step), so _cum + _cum_err carries the
+        prefix masses of the rounded v_k * w_k to about twice the precision."""
+        cells = self._coef[:, 0] * np.diff(self.breakpoints)
+        a, s = self._cum[:-1], self._cum[1:]
+        bb = s - a
+        return np.concatenate(([0.0], np.cumsum((a - (s - bb)) + (cells - bb))))
+
     def primitive(self, x):
         """Exact integral from the first breakpoint up to x, constant past
         the grid, in the shape of x."""

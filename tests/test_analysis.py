@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -318,6 +319,170 @@ def test_convolve_is_exact_on_plateaus_at_small_scales(t):
         far = x[np.min(np.abs(x[:, None] - f.breakpoints), axis=1) > 10 * t * k.half_width]
         got = convolve(k.scaled(t), f)(far)
         assert np.all(np.abs(got - f(far)) <= 4 * _U * np.abs(f(far))), (k.kind, t)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_triangle_convolve_is_exact_near_breakpoints(t):
+    # each cell's parabola must go through interior points at their actual
+    # offsets: a fit that takes the rounded midpoint for the cell centre is
+    # off by ~4e-8 at t = 1e-9
+    f = make_step([0.0, 0.3, 0.7, 1.0], [2.0, -1.0, 0.5])
+    phi = triangle_kernel().scaled(t)
+    s = np.array([0.0, 0.37, 0.71, 0.999, 1.001, 1.37])
+    x = (f.breakpoints[:, None] + np.concatenate((s, -s[1:]))[None, :] * t).ravel()
+    err = np.abs(convolve(phi, f)(x) - convolution_values(phi, f, x))
+    assert np.max(err) <= 1e-13 * f.max_abs()
+
+
+# ---------------------------------------------------------------- step-kernel windows
+
+def _exact_step_convolution(phi_t, f, x, absolute=False):
+    """(phi_t * f)(x) in rationals: every overlap of a segment of f with
+    the image (x - a_{m+1}, x - a_m) of a kernel piece, from the floats
+    that define phi_t and f."""
+    if phi_t.kind == "box":
+        h = Fraction(phi_t.half_width)
+        knots, dens = [-h, h], [1 / (2 * h)]
+    else:
+        knots = [Fraction(a) for a in phi_t.breakpoints]
+        dens = [Fraction(c) for c in phi_t.values]
+    bk = [Fraction(b) for b in f.breakpoints]
+    xq = Fraction(float(x))
+    total = Fraction(0)
+    for k, v in enumerate(f.values):
+        v = Fraction(abs(v) if absolute else v)
+        for m, c in enumerate(dens):
+            lo, hi = max(bk[k], xq - knots[m + 1]), min(bk[k + 1], xq - knots[m])
+            if hi > lo:
+                total += v * c * (hi - lo)
+    return total
+
+
+def _stated_bound(phi_t, f, x):
+    """The error bound in convolution_values' docstring."""
+    knots, h, n = phi_t.support_knots, phi_t.half_width, len(f.values)
+    c_max = float(np.max(phi_t.density(0.5 * (knots[:-1] + knots[1:]))))
+    xq, hq, bk = Fraction(float(x)), Fraction(h), [Fraction(b) for b in f.breakpoints]
+    near = [abs(v) for k, v in enumerate(f.values) if bk[k] <= xq + hq and bk[k + 1] >= xq - hq]
+    M, V = len(knots) - 1, max(near, default=0.0)
+    return (c_max * h * _U * (32 * (M + 2) ** 2 * V + 4 * n**2 * f.max_abs())
+            + c_max * n * 2.0**-1074)
+
+
+def _check_against_exact(phi_t, f, x):
+    got = convolution_values(phi_t, f, x)
+    for xi, gi in zip(x, got):
+        err = abs(Fraction(float(gi)) - _exact_step_convolution(phi_t, f, xi))
+        assert float(err) <= _stated_bound(phi_t, f, xi), (xi, gi)
+
+
+_custom_kernels = st.builds(
+    lambda inner, vals: custom_step_kernel([-1.0, *(i / 64 for i in inner), 1.0],
+                                           vals[:len(inner) + 1]),
+    st.lists(st.integers(-63, 63), min_size=1, max_size=5, unique=True).map(sorted),
+    st.lists(st.floats(0.05, 10.0), min_size=6, max_size=6))
+_steps = st.builds(
+    lambda inner, vals: make_step([0.0, *inner, 1.0], vals[:len(inner) + 1]),
+    st.lists(st.floats(1e-6, 1.0, exclude_max=True), max_size=6, unique=True).map(sorted),
+    st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.one_of(st.just(box_kernel()), _custom_kernels), f=_steps,
+       log_t=st.floats(-300.0, math.log10(2.0)), x_rand=st.floats(-0.5, 1.5))
+def test_step_kernel_windows_match_exact_rationals(k, f, log_t, x_rand):
+    phi = k.scaled(10.0**log_t)
+    bk, h = f.breakpoints, phi.half_width
+    # on, beside and outside the breakpoints, and with a knot image on each
+    x = np.concatenate((bk, bk + 1e-13, bk - 1e-13, [x_rand, -0.5 - 2 * h, 1.5 + 2 * h],
+                        (bk[:, None] + phi.support_knots[None, :]).ravel()))
+    _check_against_exact(phi, f, x)
+
+
+def test_step_kernel_plateau_gives_value_times_mass():
+    f = make_step([0.0, 0.3, 0.7, 1.0], [2.0, -1.0, 0.5])
+    x = np.array([0.15, 0.5, 0.85])
+    for k in (box_kernel(), custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5],
+                                               normalize=False)):
+        for t in (0.01, 1e-9, 1e-300):
+            phi = k.scaled(t)
+            assert np.array_equal(convolution_values(phi, f, x), f(x) * phi.mass)
+
+
+def test_step_kernel_breakpoint_at_tiny_scale_gives_side_average():
+    f = make_step([0.0, 0.3, 0.7, 1.0], [2.0, -1.0, 0.5])
+    x = f.breakpoints[1:-1]
+    sides = 0.5 * f.values[:-1] + 0.5 * f.values[1:]
+    assert np.array_equal(convolution_values(box_kernel().scaled(1e-300), f, x), sides)
+    even = custom_step_kernel([-1.0, -0.5, 0.0, 0.5, 1.0], [1.0, 3.0, 3.0, 1.0])
+    got = convolution_values(even.scaled(1e-300), f, x)
+    assert np.all(np.abs(got - sides) <= 8 * _U * f.max_abs())
+    # the ends of (0, 1) see f on one side only
+    ends = convolution_values(box_kernel().scaled(1e-300), f, [0.0, 1.0])
+    assert np.array_equal(ends, 0.5 * f.values[[0, -1]])
+
+
+def test_step_kernel_outside_support_is_zero():
+    f = make_step([0.0, 0.3, 0.7, 1.0], [2.0, -1.0, 0.5])
+    for k in (box_kernel(), custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5])):
+        phi = k.scaled(0.1)
+        assert np.array_equal(convolution_values(phi, f, [-0.5, -0.1, 1.1, 1.5, 7.0]),
+                              np.zeros(5))
+
+
+def test_step_kernel_scalar_and_unsorted_points():
+    rng = np.random.default_rng(89)
+    f = _signed_fn(rng, 40)
+    x = rng.uniform(-0.2, 1.2, 300)
+    for k in (box_kernel(), custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5])):
+        phi = k.scaled(0.05)
+        got = convolution_values(phi, f, x)
+        order = np.argsort(x)
+        assert np.array_equal(convolution_values(phi, f, x[order]), got[order])
+        assert np.array_equal(convolution_values(phi, f, float(x[7])), got[7:8])
+        assert np.isnan(convolution_values(phi, f, [np.nan, 0.5])[0])
+
+
+@pytest.mark.parametrize("exponent", [-1070, -1060, -1040])
+def test_step_kernel_subnormal_segments(exponent):
+    # segments of width 2**exponent near 0: each product v_k w_k rounds to
+    # a subnormal with abs error up to 2**-1075, so the prefix masses carry
+    # relative error up to about 2**-1075 / (|v| w).  Over 20 seeds the error
+    # relative to phi_t * |f| was at most 5.5e-3, 3.3e-6 and 3.6e-12 at the
+    # three widths (0.41, 0.41 and 5.9e-4 on the pairwise formula)
+    rng = np.random.default_rng(97)
+    w = 2.0**exponent
+    bk = np.concatenate((w * np.arange(41), [0.5, 1.0]))
+    f = make_step(bk, np.concatenate((rng.uniform(0.5, 2.0, 40) * rng.choice([-1, 1], 40),
+                                      [0.0, 1.0])))
+    phi = box_kernel().scaled(1e-300)  # the window covers all 40 segments
+    x = np.array([20 * w, 40 * w, 0.0])
+    _check_against_exact(phi, f, x)
+    got = convolution_values(phi, f, x)
+    for xi, gi in zip(x, got):
+        scale = float(_exact_step_convolution(phi, f, xi, absolute=True))
+        err = float(abs(Fraction(float(gi)) - _exact_step_convolution(phi, f, xi)))
+        assert err <= {-1070: 1e-2, -1060: 1e-5, -1040: 1e-11}[exponent] * scale
+
+
+def test_step_kernel_many_points_against_many_segments(deadline):
+    # 1e4 points against 1e5 segments: 1e9 (point, breakpoint) pairs on the
+    # pairwise path, O(M log n) per point here
+    rng = np.random.default_rng(101)
+    f = _signed_fn(rng, 100_000)
+    x = rng.uniform(-0.1, 1.1, 10_000)
+    for k in (box_kernel(), custom_step_kernel([-1.0, -0.5, 0.0, 0.2, 0.5, 0.9, 1.0],
+                                               [1.0, 2.0, 3.0, 1.0, 0.5, 2.0])):
+        phi = k.scaled(0.01)
+        tracemalloc.start()
+        try:
+            with deadline(5):
+                got = convolution_values(phi, f, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.all(np.isfinite(got))
 
 
 # ---------------------------------------------------------------- poly algebra
