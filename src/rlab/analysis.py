@@ -130,6 +130,12 @@ class Kernel:
             object.__setattr__(self, "values", tuple(vals.tolist()))
         elif self.breakpoints is not None or self.values is not None:
             raise ValueError(f"{self.kind} kernel takes no breakpoints/values")
+        else:
+            with np.errstate(over="ignore"):
+                peak = float(self.density(0.0))
+            if not math.isfinite(peak):
+                raise ValueError(f"{self.kind} kernel of half_width {hw!r}: its peak density "
+                                 "exceeds the float range")
 
     # -- cached geometry -------------------------------------------------
 
@@ -172,7 +178,8 @@ class Kernel:
         if self.kind == "custom_step":
             return self._step._eval(za)
         hw = self.half_width
-        u = za / hw  # unit coordinates: for h = 1, scaled(t) computes phi(x/t)/t as written
+        with np.errstate(over="ignore"):  # |u| = inf lies outside the support
+            u = za / hw  # unit coordinates: for h = 1, scaled(t) computes phi(x/t)/t as written
         if self.kind == "box":
             return np.where(np.abs(u) < 1.0, 0.5 / hw, 0.0)
         if self.kind == "triangle":
@@ -188,7 +195,8 @@ class Kernel:
         za = np.asarray(z, dtype=float)
         if self.kind == "custom_step":
             return self._step.primitive(za)
-        u = za / self.half_width
+        with np.errstate(over="ignore"):  # the clips below map u = +-inf to 0 and 1
+            u = za / self.half_width
         if self.kind == "box":
             # in place for arrays: a block here needs one temporary, not three;
             # with three, domination_check faulted in fresh heap pages on every

@@ -37,11 +37,8 @@ def random_step_function(rng: np.random.Generator, signed: bool = False) -> Step
     return make_step(bk, vals)
 
 
-def random_measure(rng: np.random.Generator, zero_fraction: float = 0.0) -> MeasureDensity:
-    """Random step density; zero_fraction is the per-segment probability of
-    a vanishing density (for domination and absolute-continuity checks)."""
+def random_measure(rng: np.random.Generator) -> MeasureDensity:
+    """Random step density, positive on every segment."""
     bk = _interior_breakpoints(rng)
     vals = np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=len(bk) - 1))
-    if zero_fraction > 0.0:
-        vals = np.where(rng.uniform(size=len(vals)) < zero_fraction, 0.0, vals)
     return MeasureDensity(make_step(bk, vals))

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import random_step_function
 from .norms import (SpaceSpec, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
-from .quadrature import QuadratureError, integrate_batch
+from .quadrature import integrate_batch
 from .stepfn import (MeasureDensity, StepFunction, characteristic, make_step,
                      merge_segment_grids, step_to_json)
 from .weights import PowerWeight, Weight, _as_weight
@@ -148,26 +148,21 @@ def cross_weight_check(p: float, q: float, w: Weight, v: Weight) -> EmbeddingVer
     return _weight_sup(p, q, _mass(w), m)
 
 
-def _unit_mass(w: Weight) -> tuple:
-    """w divided by its mass W(1), and log W(1) from _mass: a power weight
-    becomes PowerWeight(alpha, alpha + 1) exactly, a step weight has its
-    values divided by its float mass.  A zero weight comes back as it is."""
-    w = _as_weight(w)
-    mass, log = _mass(w)
-    if log == -math.inf:
-        return w, log
-    if isinstance(w, PowerWeight):
-        return PowerWeight(w.alpha, w.alpha + 1.0), log
-    return MeasureDensity(make_step(w.density.breakpoints, w.density.values / mass)), log
-
-
 class _ExtendedWeight:
-    """Weight with density and primitive on (0, upper]; beyond t = 1 the
-    density continues with its value at 1 (constant extension).  Up to its
-    first interior breakpoint the density is c0 * t^alpha."""
+    """Weight divided by its mass W(1), with density and primitive on
+    (0, upper]; beyond t = 1 the density continues with its value at 1
+    (constant extension).  Up to its first interior breakpoint the density
+    is c0 * t^alpha.  A power weight becomes PowerWeight(alpha, alpha + 1)
+    exactly, a step weight has its values divided by its float mass, and a
+    zero weight is kept as it is; log_mass is log W(1) from _mass."""
 
     def __init__(self, w: Weight):
-        self.weight = w = _as_weight(w)
+        w = _as_weight(w)
+        mass, self.log_mass = _mass(w)
+        if self.log_mass > -math.inf:
+            w = (PowerWeight(w.alpha, w.alpha + 1.0) if isinstance(w, PowerWeight) else
+                 MeasureDensity(make_step(w.density.breakpoints, w.density.values / mass)))
+        self.weight = w
         self.w1 = float(w.primitive(1.0))
         if isinstance(w, PowerWeight):
             self.last = self.c0 = w.coeff
@@ -196,26 +191,27 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
 
         (int_0^upper (W(t)/V(t))^((r-eps)/(p-eps)) w(t) dt)^(1/(r-eps))
 
-    holds iff every value is finite.  On the first knot interval (0, k1]
-    both weights are c * t^alpha, so the integrand is a pure power
-    K^beta c_w t^gamma, integrated in closed form; it diverges exactly when
-    c_w > 0 and gamma <= -1, and the first such eps is reported with value
-    inf.  The bounded integrands on the other knot intervals, for every
-    eps below that one, go through one integrate_batch call at its default
-    rel_tol (1e-10); a non-finite estimate there also counts as divergence
-    at its eps.
-    upper defaults to 1 (the ambient interval); larger values extend both
-    weights beyond 1 by their density at 1.  Both weights are first divided
-    by their masses (_unit_mass), so the integral scales by
-    W(1)^(1+beta) V(1)^-beta; the grid is ranked by the log of the value,
-    and the winner is taken back from its log.  A zero w gives 0; a finite
-    value outside the float range raises OverflowError or FloatingPointError.
+    holds iff every value is finite.  Both weights are first divided by
+    their masses (_ExtendedWeight), so the integral scales by
+    W(1)^(1+beta) V(1)^-beta.  On the first knot interval (0, k1] both
+    weights are c * t^alpha, so the integrand is a pure power
+    K^beta c_w t^gamma, integrated in closed form in log; it diverges
+    exactly when c_w > 0 and gamma <= -1, and the first such eps is
+    reported with value inf.  Past k1, V >= V(k1) > 0 and W, w are bounded,
+    so nothing diverges there: those knot intervals go through one
+    integrate_batch call at its default rel_tol (1e-10), with W/V divided
+    by its largest value on the knots from k1 to upper, and beta times the
+    log of that scale is added back.  upper defaults to 1 (the ambient interval);
+    larger values extend both weights beyond 1 by their density at 1.  The
+    grid is ranked by the log of the value, and the winner is taken back
+    from its log.  A zero w gives 0; a finite value outside the float range
+    raises OverflowError or FloatingPointError, and so does a scale that is
+    not a finite float (V(k1) subnormal or zero).
     """
     q, p = _ordered_pair(q, p, "q", "p", strict=True)
     r = p * q / (p - q)
     if not (np.isfinite(upper) and upper >= 1.0):
         raise ValueError("upper must be >= 1")
-    (w, lw), (v, lv) = _unit_mass(w), _unit_mass(v)
     ew, ev = _ExtendedWeight(w), _ExtendedWeight(v)
     if not ev.c0 > 0:
         raise ValueError("target weight primitive vanishes near 0")
@@ -225,30 +221,29 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     eps = eps_grid(q - 1.0, grid_size)
     beta = (r - eps) / (p - eps)
     gamma = beta * (ew.alpha - ev.alpha) + ew.alpha
-    divergent = np.flatnonzero(gamma <= -1.0) if ew.c0 > 0.0 else []
-    n = int(divergent[0]) if len(divergent) else len(eps)
-    beta, gamma = beta[:n], gamma[:n]
-    ratio = (ew.c0 / (ew.alpha + 1.0)) / (ev.c0 / (ev.alpha + 1.0))  # W/V = ratio t^(aw-av)
-    with np.errstate(over="ignore", divide="ignore"):
-        total = (np.zeros(n) if ew.c0 == 0.0 else
-                 ratio**beta * ew.c0 * knots[1] ** (gamma + 1.0) / (gamma + 1.0))
+    if ew.c0 > 0.0 and np.any(gamma <= -1.0):
+        return _verdict(math.inf, eps[int(np.argmax(gamma <= -1.0))])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # W/V = K t^(aw-av) on (0, k1], K the ratio of the W and V coefficients
+        log_k = np.log(ew.c0 / (ew.alpha + 1.0)) - np.log(ev.c0 / (ev.alpha + 1.0))
+        first = (np.full(len(eps), -np.inf) if ew.c0 == 0.0 else beta * log_k + np.log(ew.c0)
+                 + (gamma + 1.0) * np.log(knots[1]) - np.log(gamma + 1.0))
+        # W/V is monotone between knots for step weights and past 1, so the
+        # scaled powers stay at most 1 there; W = 0 past k1 leaves a zero integrand
+        scale = float(np.max(ew.primitive(knots[1:]) / ev.primitive(knots[1:]))) or 1.0
+        if not math.isfinite(scale):
+            raise OverflowError("the downward condition lies outside the float range")
         pieces = len(knots) - 2
         powers = np.repeat(beta, pieces)
 
         def integrand(t, k):
-            return (ew.primitive(t) / ev.primitive(t)) ** powers[k] * ew.density(t)
+            return (ew.primitive(t) / ev.primitive(t) / scale) ** powers[k] * ew.density(t)
 
-        try:
-            res = integrate_batch(integrand, np.tile(knots[1:-1], n), np.tile(knots[2:], n))
-        except QuadratureError as exc:
-            if math.isfinite(exc.value):
-                raise
-            n = exc.index // pieces
-        else:
-            total += res.value.reshape(n, pieces).sum(axis=1)
-        if n < len(eps):
-            return _verdict(math.inf, eps[n])
-        logs = (np.log(total) + beta * (lw - lv) + lw) / (r - eps)
+        res = integrate_batch(integrand, np.tile(knots[1:-1], len(eps)),
+                              np.tile(knots[2:], len(eps)))
+        rest = np.log(res.value.reshape(len(eps), pieces).sum(axis=1)) + beta * math.log(scale)
+        logs = (np.logaddexp(first, rest) + beta * (ew.log_mass - ev.log_mass)
+                + ew.log_mass) / (r - eps)
     i = int(np.argmax(logs))
     return _verdict(_in_range(math.exp(logs[i]), logs[i], "downward"), eps[i])
 

@@ -322,11 +322,18 @@ def _scaled_power_sum(values: np.ndarray, base: np.ndarray, s: float) -> float:
     """(sum values**s * base)**(1/s) for nonnegative values, not all zero.
 
     The top level is factored out (the expression is 1-homogeneous in
-    values), so levels whose s-th power would overflow or underflow still
-    give the finite, nonzero result.
+    values) and the terms are summed in log-sum-exp form, as log base +
+    s log(v/top), so terms whose s-th power or product with its base would
+    overflow or underflow still give the finite, nonzero result.  0 when
+    every base is 0.
     """
     top = float(np.max(values))
-    return top * float(np.sum((values / top) ** s * base) ** (1.0 / s))
+    with np.errstate(divide="ignore"):
+        logs = np.log(base) + s * np.log(values / top)
+    peak = float(np.max(logs))
+    if peak == -math.inf:
+        return 0.0
+    return top * math.exp((peak + math.log(float(np.sum(np.exp(logs - peak))))) / s)
 
 
 def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,23 @@ def test_scaled_kernel_rejects_bad_scales():
     with pytest.raises(ValueError, match="float range"):
         big.scaled(1e-10)
     assert big.scaled(1e-8).values == (1e308,)
+
+
+def test_kernels_with_subnormal_half_widths():
+    # a peak density 0.5/h (box), 1/h (triangle) or 0.83/h (bump) past the
+    # float range is rejected, as a custom kernel's values over t are
+    for k in (box_kernel(), triangle_kernel(), bump_kernel()):
+        for make in (lambda: k.scaled(1e-310), lambda: Kernel(k.kind, 1e-310)):
+            with pytest.raises(ValueError, match="float range"):
+                make()
+    # at the smallest accepted half-widths z/h overflows for |z| = 1, which
+    # the cdf maps to 0 and 1 without a warning
+    f = make_step([0.0, 0.3, 0.7, 1.0], [2.0, -1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (box_kernel(2.8e-309), triangle_kernel(5.6e-309), bump_kernel(4.7e-309)):
+            assert k.cdf(np.array([-1.0, 0.0, 1.0])) == pytest.approx([0.0, 0.5, 1.0], abs=1e-14)
+            assert convolution_values(k, f, [0.5, 0.3]) == pytest.approx([-1.0, 0.5], abs=1e-14)
 
 
 _U = 2.0**-53

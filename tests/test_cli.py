@@ -346,6 +346,17 @@ def test_exit_code_on_non_positive_sizes(argv, message, capsys):
     assert err.startswith("validation error") and message in err
 
 
+@pytest.mark.parametrize("kernel, t_list", [
+    ('{"kind": "box", "half_width": 1e-310}', "1"),
+    ('{"kind": "triangle"}', "1e-310"),
+], ids=["half-width", "scale"])
+def test_mollify_sweep_rejects_a_subnormal_half_width(kernel, t_list, capsys):
+    code, out, err = _run(capsys, ["mollify-sweep", "--fn", CHI_JSON, "--kernel", kernel,
+                                   "--t-list", t_list, "--spec", L22])
+    assert code == 1 and out == ""
+    assert err.startswith("validation error") and "float range" in err
+
+
 # f** = f on (0, 1] and f/t past 1: the (2, 2) norm is 1.5e308 * sqrt(2),
 # past the float range
 HUGE_JSON = '{"breakpoints": [0.0, 1.0], "values": [1.5e308]}'

@@ -63,13 +63,3 @@ def test_random_measure_positive_by_default():
         mu = random_measure(rng)
         assert isinstance(mu, MeasureDensity)
         assert np.all(mu.density.values > 0)
-
-
-def test_random_measure_zero_fraction():
-    rng = np.random.default_rng(31)
-    n_zero = 0
-    for _ in range(30):
-        mu = random_measure(rng, zero_fraction=0.5)
-        assert np.all(mu.density.values >= 0)
-        n_zero += int(np.sum(mu.density.values == 0))
-    assert n_zero > 0

@@ -404,6 +404,115 @@ def test_downward_step_weights_match_interval_loop(upper):
     assert out.witness == f"eps={eps[i]:.17g}"
 
 
+def _mp_unit_over_step(p, q, bk, vals, upper, eps):
+    """(int_0^upper (t/V(t))^beta dt)^(1/(r-eps)) for w = 1 and the step
+    density vals on bk, extended past 1 by its last value, in mpmath.  On
+    (0, k1] V = c0 t; past k1 the substitution x = V(t) = e^u makes each
+    piece smooth in u, however small V is at its left end."""
+    r = mpmath.mpf(p) * q / (p - q)
+    beta = (r - eps) / (p - eps)
+    knots = [mpmath.mpf(b) for b in bk if b < upper] + [mpmath.mpf(upper)]
+    vals = [mpmath.mpf(c) for c in vals] + [mpmath.mpf(vals[-1])] * (len(knots) - len(bk))
+    total = knots[1] / vals[0] ** beta
+    va = vals[0] * knots[1]
+    for a, b, c in zip(knots[1:-1], knots[2:], vals[1:]):
+        vb = va + c * (b - a)
+
+        def f(u, a=a, c=c, va=va):
+            x = mpmath.exp(u)
+            return ((a + (x - va) / c) / x) ** beta * x / c
+        total += mpmath.quad(f, mpmath.linspace(mpmath.log(va), mpmath.log(vb), 8))
+        va = vb
+    return total ** (1 / (r - eps))
+
+
+@pytest.mark.parametrize("upper", [1.0, 2.0])
+def test_downward_with_a_tiny_target_density(upper):
+    # V(t) = 1e-300 t up to 0.5: (W/V)^beta reaches 1e600 and overflowed
+    # inside the quadrature past the first knot, which read it as divergence
+    bk, vals = [0.0, 0.5, 1.0], [1e-300, 1.0]
+    out = downward_check(3.0, 2.0, ONE, make_step(bk, vals), upper=upper, grid_size=8)
+    eps = eps_grid(1.0, 8)
+    with mpmath.workdps(20):
+        want = [_mp_unit_over_step(3.0, 2.0, bk, vals, upper, mpmath.mpf(e)) for e in eps]
+    best = max(range(8), key=lambda i: want[i])
+    assert float(want[best]) == pytest.approx(8.704e149, rel=1e-3)
+    assert out.holds and out.condition_value == pytest.approx(float(want[best]), rel=1e-12)
+    assert out.witness == f"eps={eps[best]:.17g}"
+
+
+def test_downward_with_a_subnormal_target_primitive():
+    # V(k1) = 5e-311 is subnormal: W/V past k1 is no finite float
+    v = make_step([0.0, 0.5, 1.0], [1e-310, 1.0])
+    for upper in (1.0, 2.0):
+        with pytest.raises(OverflowError):
+            downward_check(3.0, 2.0, ONE, v, upper=upper, grid_size=8)
+
+
+def _downward_loop(p, q, w, v, upper, grid_size):
+    """downward_check for power and step weights in plain floats, unscaled,
+    one eps and one knot interval at a time, as (values over the grid,
+    grid): the first knot interval in closed form, the others by
+    integrate_adaptive."""
+    r = p * q / (p - q)
+
+    def extend(g):
+        if isinstance(g, PowerWeight):
+            bk, c0, alpha = [0.0, 1.0], g.coeff, g.alpha
+        else:
+            bk, c0, alpha = list(g.density.breakpoints), g.density.values[0], 0.0
+        w1, last = float(g.primitive(1.0)), float(g(1.0))
+        return (bk, c0, alpha,
+                lambda t: np.where(t > 1.0, last, g(np.minimum(t, 1.0))),
+                lambda t: np.where(t > 1.0, w1 + last * (t - 1.0), g.primitive(np.minimum(t, 1.0))))
+
+    (bw, cw, aw, dw, pw), (bv, cv, av, _, pv) = extend(w), extend(v)
+    knots = np.unique(bw + bv + [upper])
+    knots = knots[knots <= upper]
+    eps = eps_grid(q - 1.0, grid_size)
+    values = []
+    for e in eps:
+        beta = (r - e) / (p - e)
+        gamma = beta * (aw - av) + aw
+        if cw > 0 and gamma <= -1:
+            values.append(math.inf)
+            continue
+        ratio = (cw / (aw + 1)) / (cv / (av + 1))
+        total = ratio**beta * cw * knots[1] ** (gamma + 1) / (gamma + 1) if cw > 0 else 0.0
+        total += sum(integrate_adaptive(lambda t: (pw(t) / pv(t)) ** beta * dw(t), a, b).value
+                     for a, b in zip(knots[1:-1], knots[2:]))
+        values.append(total ** (1.0 / (r - e)))
+    return np.array(values), eps
+
+
+def test_downward_random_pairs_match_interval_loop():
+    # power and step weights mixed, upper 1 and beyond
+    rng = np.random.default_rng(14)
+
+    def weight():
+        if rng.uniform() < 0.5:
+            return PowerWeight(float(rng.uniform(-0.6, 2.0)), float(np.exp(rng.uniform(-3, 3))))
+        n = int(rng.integers(1, 6))
+        bk = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n)), [1.0]))
+        return _density(bk, np.exp(rng.uniform(-3, 3, n + 1)))
+
+    for k in range(200):
+        q = float(rng.uniform(1.1, 2.5))
+        p = q * float(rng.uniform(1.2, 3.0))
+        w, v = weight(), weight()
+        upper = 1.0 if rng.uniform() < 0.5 else float(rng.uniform(1.0, 3.0))
+        want, eps = _downward_loop(p, q, w, v, upper, 8)
+        out = downward_check(p, q, w, v, upper=upper, grid_size=8)
+        case = f"pair {k}: {p}, {q}, {w}, {v}, upper={upper}"
+        if math.isinf(want.max()):
+            assert not out.holds and out.condition_value == math.inf, case
+            assert out.witness == f"eps={eps[np.argmax(want)]:.17g}", case
+            continue
+        i = [f"eps={e:.17g}" for e in eps].index(out.witness)
+        assert out.holds and out.condition_value == pytest.approx(want.max(), rel=1e-9), case
+        assert want[i] >= want.max() * (1 - 1e-9), case
+
+
 def test_downward_propagates_finite_quadrature_failure(monkeypatch):
     def exhausted(*args, **kwargs):
         raise QuadratureError("interval budget exhausted", 0.5, 1e-3, 1e-10)

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rlab import (DEFAULT_GRID, MeasureDensity, SpaceSpec, average, characteristic, eps_grid,
                   eps_profile, grand_lambda_norm, grand_lambda_slice_values,
@@ -560,6 +560,36 @@ def test_finite_inputs_never_give_nan(log_levels, widths, log_density, p, q):
     for value in (lorentz_pq_norm(f, p, q, mu), lorentz_pq_norm(f, p / 4.0, q, mu),
                   lorentz_pq_star_norm(f, p, q, mu)):
         assert math.isfinite(value)  # neither NaN nor inf
+
+def test_lorentz_pq_norm_with_every_power_underflowing_matches_mpmath():
+    # f* is 1 on (0, 0.005) and 1e-3 on (0.005, 0.505), q/p = 284.4: the first
+    # base 0.005^284.4 underflows in _terms, and the other term (1e-3)^80 *
+    # 4e-85 as a product; the norm was a silent 0.0
+    f = make_step([0.0, 0.5, 1.0], [1.0, 1e-3])
+    mu = MeasureDensity(make_step([0.0, 0.5, 1.0], [0.01, 1.0]))
+    got = lorentz_pq_norm(f, 0.28125, 80.0, mu)
+    want = _mp_power_sum([1.0, 1e-3], _mp_diff_pow([0.0, 0.005, 0.505], mpmath.mpf(80) / 0.28125),
+                         80.0)
+    assert float(want) == pytest.approx(8.8112193137224224e-5, rel=1e-15)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_levels=st.lists(st.floats(-300.0, 0.0), min_size=1, max_size=6),
+       p=st.floats(0.25, 8.0), q=st.floats(1.0, 200.0), alpha=st.floats(-0.9, 3.0),
+       dense=st.booleans())
+@example(log_levels=[0.0, -3.0], p=0.28125, q=80.0, alpha=0.0, dense=True)
+def test_plain_norms_of_tiny_levels_are_never_zero(log_levels, p, q, alpha, dense):
+    # the smallest level (>= 1e-300) fills a set of measure >= 1/600 ending
+    # past t = 0.5, so both norms exceed about 1e-306; q/p <= 800 keeps that
+    # set's base 0.5^(q/p) - ... a normal float (a base that underflows
+    # inside _terms is a separate, still open defect)
+    bk = np.linspace(0.0, 1.0, len(log_levels) + 1)
+    f = make_step(bk, 10.0 ** np.array(log_levels))
+    mu = MeasureDensity(make_step([0.0, 0.5, 1.0], [0.01, 1.0])) if dense else None
+    for value in (lorentz_pq_norm(f, p, q, mu), lambda_norm(f, q, PowerWeight(alpha), mu)):
+        assert 0.0 < value < math.inf
+
 
 def test_lambda_norm_extreme_levels_match_mpmath():
     bk = [0.0, 0.25, 0.5, 1.0]
