@@ -2,14 +2,15 @@
 Embedding checks between weighted Lorentz spaces
 ================================================
 
-Three ways to look at an embedding: verify a sufficient weight condition
-in closed form, measure an empirical constant on a random corpus, and watch a
-necessary condition fail through a family of shrinking sets.
+Four ways to look at an embedding: verify a sufficient weight condition
+in closed form, bracket the downward condition's sup over eps, measure an
+empirical constant on a random corpus, and watch a necessary condition fail
+through a family of shrinking sets.
 """
 
 from rlab import (MeasureDensity, PowerWeight, SpaceSpec, cross_weight_check,
-                  domination_constant, empirical_constant, make_step,
-                  mutual_ac, shrinking_probe, wholds_check)
+                  domination_constant, downward_check, empirical_constant,
+                  make_step, mutual_ac, shrinking_probe, wholds_check)
 
 # sufficient condition for Lambda_{p,w} -> Lambda_{q,w}: the ratio
 # W(t)^(1/q) / W(t)^(1/p) must stay bounded on (0, 1)
@@ -36,6 +37,13 @@ v = PowerWeight(alpha=0.0, coeff=4.0)
 verdict = cross_weight_check(2.0, 2.0, PowerWeight(alpha=0.0), v)
 print("cross-weight condition, W(t) = t vs V(t) = 4t:")
 print(f"  holds = {verdict.holds}, condition value = {verdict.condition_value:.6f}")
+
+# the downward condition for q < p is a sup over eps of a weighted integral;
+# a branch-and-bound certifies it, so the value comes with an upper bound
+verdict = downward_check(3.0, 1.5, heavy, PowerWeight(alpha=0.0), upper=2.0)
+print("downward condition, heavy step weight vs w = 1, p=3 -> q=1.5, up to t = 2:")
+print(f"  holds = {verdict.holds}, sup in [{verdict.condition_value:.12f}, "
+      f"{verdict.upper:.12f}] after {verdict.evals} evaluations")
 
 # empirical constant: the measured sup of target-norm / source-norm over a
 # seeded corpus; the witness names the maximizing function

@@ -7,10 +7,11 @@ fixed command line and seed.  Exit codes: 0 success, 1 validation error,
 2 computation error (e.g. quadrature non-convergence, overflow, or a
 request for more memory than the machine has).
 
-Only eps-profile (whose CSV header records the size) and the downward
-check of embed-check read an eps grid, sized by --grid (default 2048, at
-least 8); the other verbs take no --grid.  Every other answer is a closed
-form or comes from the certified branch-and-bound, which reads no grid.
+Only eps-profile (whose CSV header records the size) reads an eps grid,
+sized by --grid (default 2048, at least 8).  embed-check accepts and
+validates --grid but reads no grid: every other answer is a closed form or
+comes from a certified branch-and-bound (embed-check downward prints its
+bracket as upper and evals).
 """
 from __future__ import annotations
 
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1024)
 
     p = add("embed-check", _cmd_embed_check, help="inclusion condition verdict",
-            grid="downward: eps-grid size (default 2048); the other checks read no grid")
+            grid="accepted (at least 8) and not read: downward's sup is certified, not sampled")
     p.add_argument("--check", required=True,
                    choices=["wholds", "cross-weight", "downward",
                             "domination", "mutual-ac", "empirical"])

@@ -1,7 +1,8 @@
 """Inclusion conditions between grand Lorentz spaces and measures.
 
 The weight conditions give their exact sup over eps in closed form, the
-downward and slice checks theirs on the clustered eps grid.  "If and only
+downward check a certified bracket from the grand norms' branch-and-bound,
+and the slice check its worst slack on the clustered eps grid.  "If and only
 if" statements are probed one-sidedly (condition implies a norm inequality
 on a seeded corpus, non-embedding is witnessed by shrinking indicator sets)
 since universal quantification over functions is not numerically decidable.
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import random_step_function
-from .norms import (SpaceSpec, eps_grid, grand_lorentz_pq_norm,
+from .norms import (_NODES, _U, SpaceSpec, _eps_sup, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
 from .quadrature import integrate_batch
 from .stepfn import (MeasureDensity, StepFunction, characteristic, make_step,
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _SLICE_TOL = 1e-10  # SliceDominationReport.tolerance of domination_slice_check
+_DOWN_TOL = 1e-10  # downward_check's stopping gap in log(value), its quadrature's rel_tol
 
 
 @dataclass
@@ -48,6 +50,8 @@ class EmbeddingVerdict:
 
     condition_value is the checked quantity (a sup over eps, or an
     empirical max ratio); for condition checks holds is its finiteness.
+    downward_check also sets upper (the sup lies in [condition_value,
+    upper]) and evals, its node evaluations; to_json reports them if set.
     """
 
     condition_value: float
@@ -55,16 +59,21 @@ class EmbeddingVerdict:
     witness: Optional[str] = None
     empirical_constant: Optional[float] = None
     seed: Optional[int] = None
+    upper: Optional[float] = None
+    evals: Optional[int] = None
 
     def to_json(self) -> dict:
-        cv = self.condition_value
-        return {
+        cv, up = self.condition_value, self.upper
+        out = {
             "condition_value": cv if math.isfinite(cv) else "inf",
             "holds": self.holds,
             "empirical_constant": self.empirical_constant,
             "witness": self.witness,
             "seed": self.seed,
         }
+        if up is not None:
+            out.update(upper=up if math.isfinite(up) else "inf", evals=self.evals)
+        return out
 
 
 def _ordered_pair(lo: float, hi: float, lo_name: str, hi_name: str,
@@ -80,10 +89,10 @@ def _ordered_pair(lo: float, hi: float, lo_name: str, hi_name: str,
     return lo, hi
 
 
-def _verdict(value: float, eps: float) -> EmbeddingVerdict:
+def _verdict(value: float, eps: float, **bracket) -> EmbeddingVerdict:
     """Verdict for a sup over eps reached at eps: it holds iff finite."""
     return EmbeddingVerdict(condition_value=value, holds=math.isfinite(value),
-                            witness=f"eps={eps:.17g}")
+                            witness=f"eps={eps:.17g}", **bracket)
 
 
 def _in_range(value: float, log: float, name: str) -> float:
@@ -186,66 +195,110 @@ class _ExtendedWeight:
 
 def downward_check(p: float, q: float, w: Weight, v: Weight,
                    upper: float = 1.0, grid_size: Optional[int] = None) -> EmbeddingVerdict:
-    """Downward inclusion condition for 1 < q < p, with r from
-    1/r = 1/q - 1/p: for each grid eps in (0, q-1) the quantity
+    """Downward inclusion condition for 1 < q < p, 1/r = 1/q - 1/p: the sup
+    over eps in [0, q-1], end limits included, of (int_0^upper (W/V)^beta w
+    dt)^(1/(r-eps)), beta = (r-eps)/(p-eps), in a certified bracket
+    [condition_value, upper]; holds iff finite.  upper >= 1 extends both
+    weights past 1 by their density at 1.  grid_size is validated (at
+    least 8) and not otherwise read.
 
-        (int_0^upper (W(t)/V(t))^((r-eps)/(p-eps)) w(t) dt)^(1/(r-eps))
-
-    holds iff every value is finite.  Both weights are first divided by
-    their masses (_ExtendedWeight), so the integral scales by
-    W(1)^(1+beta) V(1)^-beta.  On the first knot interval (0, k1] both
-    weights are c * t^alpha, so the integrand is a pure power
-    K^beta c_w t^gamma, integrated in closed form in log; it diverges
-    exactly when c_w > 0 and gamma <= -1, and the first such eps is
-    reported with value inf.  Past k1, V >= V(k1) > 0 and W, w are bounded,
-    so nothing diverges there: those knot intervals go through one
-    integrate_batch call at its default rel_tol (1e-10), with W/V divided
-    by its largest value on the knots from k1 to upper, and beta times the
-    log of that scale is added back.  upper defaults to 1 (the ambient interval);
-    larger values extend both weights beyond 1 by their density at 1.  The
-    grid is ranked by the log of the value, and the winner is taken back
-    from its log.  A zero w gives 0; a finite value outside the float range
-    raises OverflowError or FloatingPointError, and so does a scale that is
-    not a finite float (V(k1) subnormal or zero).
+    With the weights divided by their masses (_ExtendedWeight) the log value
+    is L = N/(r-eps), N = H(beta) + beta (log W(1) - log V(1)) + log W(1), H
+    the log of the normalized integral.  On (0, k1], k1 the first knot, the
+    integrand is K^beta c_w t^gamma, gamma = beta (alpha_w - alpha_v) +
+    alpha_w, in closed form.  gamma is monotone in eps, so divergence (c_w >
+    0, gamma <= -1) is decided at the ends before any quadrature: value inf,
+    witness the smallest float eps with gamma <= -1.  Knot intervals past k1
+    (if any) go through one integrate_batch call per round (rel_tol 1e-10),
+    W/V divided by its largest knot value.  norms._eps_sup runs from nodes 0,
+    (q-1) eps_grid(1, 64) and q-1, splitting cells into 8 while their bound
+    tops the best L by 1e-10.  H is convex in beta (Hoelder), beta monotone
+    in eps: on a cell [a, b] N is at most its larger end value Nmax, so L <=
+    Nmax/(r-b) if Nmax >= 0, else Nmax/(r-a); the smaller bound from N's
+    chord (see bound) is taken.  Each node's N is widened by log1p(e/s), e
+    and s the summed error_estimate and value of its pieces past k1, and by
+    u (8 S + c), u = 2**-53, S the absolute values of N's terms (those scaled
+    by beta weighted by beta's rounding), c gamma + 1's rounding through its
+    log; upper adds the widest widening over r - (q-1) and 8u (|L| + 1) to
+    the largest bound of a discarded cell.  A zero w gives 0; a finite value
+    past the float range raises OverflowError or FloatingPointError, as does
+    a scale that is no finite float.
     """
     q, p = _ordered_pair(q, p, "q", "p", strict=True)
+    if grid_size is not None and grid_size < 8:
+        raise ValueError("eps grid needs at least 8 points")
     r = p * q / (p - q)
     if not (np.isfinite(upper) and upper >= 1.0):
         raise ValueError("upper must be >= 1")
     ew, ev = _ExtendedWeight(w), _ExtendedWeight(v)
     if not ev.c0 > 0:
         raise ValueError("target weight primitive vanishes near 0")
-    knots = np.unique(np.concatenate((
-        [0.0, 1.0, upper], ew.interior, ev.interior)))
+    limit, da, a1, lw, lv = q - 1.0, ew.alpha - ev.alpha, ew.alpha + 1.0, ew.log_mass, ev.log_mass
+
+    def diverges(e):
+        return ew.c0 > 0.0 and (r - e) / (p - e) * da + ew.alpha <= -1.0
+
+    if diverges(0.0) or diverges(limit):  # bisect to the smallest float that diverges
+        lo, hi = 0.0, 0.0 if diverges(0.0) else limit
+        while lo < 0.5 * (lo + hi) < hi:
+            lo, hi = (lo, 0.5 * (lo + hi)) if diverges(0.5 * (lo + hi)) else (0.5 * (lo + hi), hi)
+        return _verdict(math.inf, hi, upper=math.inf, evals=0)
+    if lw == -math.inf:  # w = 0
+        return _verdict(0.0, 0.0, upper=0.0, evals=0)
+    knots = np.unique(np.concatenate(([0.0, 1.0, upper], ew.interior, ev.interior)))
     knots = knots[(knots >= 0.0) & (knots <= upper)]
-    eps = eps_grid(q - 1.0, grid_size)
-    beta = (r - eps) / (p - eps)
-    gamma = beta * (ew.alpha - ev.alpha) + ew.alpha
-    if ew.c0 > 0.0 and np.any(gamma <= -1.0):
-        return _verdict(math.inf, eps[int(np.argmax(gamma <= -1.0))])
+    pieces = len(knots) - 2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # W/V = K t^(aw-av) on (0, k1], K the ratio of the W and V coefficients
-        log_k = np.log(ew.c0 / (ew.alpha + 1.0)) - np.log(ev.c0 / (ev.alpha + 1.0))
-        first = (np.full(len(eps), -np.inf) if ew.c0 == 0.0 else beta * log_k + np.log(ew.c0)
-                 + (gamma + 1.0) * np.log(knots[1]) - np.log(gamma + 1.0))
+        log_k = np.log(ew.c0 / a1) - np.log(ev.c0 / (ev.alpha + 1.0))
         # W/V is monotone between knots for step weights and past 1, so the
         # scaled powers stay at most 1 there; W = 0 past k1 leaves a zero integrand
         scale = float(np.max(ew.primitive(knots[1:]) / ev.primitive(knots[1:]))) or 1.0
-        if not math.isfinite(scale):
-            raise OverflowError("the downward condition lies outside the float range")
-        pieces = len(knots) - 2
-        powers = np.repeat(beta, pieces)
+    if not math.isfinite(scale):
+        raise OverflowError("the downward condition lies outside the float range")
+    log_k1, log_scale, widest = math.log(knots[1]), math.log(scale), [0.0]
 
-        def integrand(t, k):
-            return (ew.primitive(t) / ev.primitive(t) / scale) ** powers[k] * ew.density(t)
+    def run(eps):  # L and N at the nodes eps, every piece past k1 in one batch
+        beta = (r - eps) / (p - eps)
+        kappa = 4.0 + 3.0 * r / (r - eps)  # 1 + beta's relative rounding, in u
+        n, quad, cond = np.full(eps.size, -np.inf), 0.0, 0.0
+        size = kappa * np.abs(beta) * (abs(lw) + abs(lv)) + abs(lw) + pieces + 1
+        if ew.c0 > 0.0:
+            g1 = beta * da + a1  # gamma + 1
+            first = (beta * log_k, math.log(ew.c0), g1 * log_k1, -np.log(g1))
+            n = sum(first)
+            size = size + (kappa - 1.0) * np.abs(first[0]) + sum(np.abs(x) for x in first)
+            cond = (kappa * np.abs(beta * da) + g1) * (1.0 / g1 + abs(log_k1))
+        if pieces:
+            powers = np.repeat(beta, pieces)
+            res = integrate_batch(
+                lambda t, k: (ew.primitive(t) / ev.primitive(t) / scale) ** powers[k] * ew.density(t),
+                np.tile(knots[1:-1], eps.size), np.tile(knots[2:], eps.size))
+            total, err = (x.reshape(eps.size, pieces).sum(axis=1) for x in (res.value, res.error_estimate))
+            with np.errstate(divide="ignore", invalid="ignore"):  # W = 0 past k1
+                rest = np.log(total)
+                quad = np.where(total > 0.0, np.log1p(err / total), 0.0)
+            n = np.logaddexp(n, rest + beta * log_scale)
+            size = size + np.where(total > 0.0, np.abs(rest), 0.0) + kappa * np.abs(beta * log_scale)
+        n = n + beta * (lw - lv) + lw
+        widest[0] = max(widest[0], float(np.max(quad + _U * (8.0 * size + cond))))
+        return n / (r - eps), n
 
-        res = integrate_batch(integrand, np.tile(knots[1:-1], len(eps)),
-                              np.tile(knots[2:], len(eps)))
-        rest = np.log(res.value.reshape(len(eps), pieces).sum(axis=1)) + beta * math.log(scale)
-        logs = (np.logaddexp(first, rest) + beta * (ew.log_mass - ev.log_mass)
-                + ew.log_mass) / (r - eps)
-    i = int(np.argmax(logs))
-    return _verdict(_in_range(math.exp(logs[i]), logs[i], "downward"), eps[i])
+    def bound(lo, lo_n, hi, hi_n):
+        # N lies below its chord C, linear in y = 1/(p-eps), and 1/(r-eps) = g(y)
+        # has g' = 1/beta^2, |g''| = 2 |p-r|/beta^3: C g exceeds its larger end
+        # value by at most h^2/8 max|(C g)''|, h the cell's width in y
+        top, ends = np.maximum(lo_n, hi_n), np.maximum(lo_n / (r - lo), hi_n / (r - hi))
+        h, ib = (hi - lo) / ((p - lo) * (p - hi)), np.maximum((p - lo) / (r - lo), (p - hi) / (r - hi))
+        curve = h * (np.abs(hi_n - lo_n) * ib**2 + h * np.maximum(np.abs(lo_n), np.abs(hi_n)) * abs(p - r) * ib**3)
+        return np.minimum(np.where(top >= 0.0, top / (r - hi), top / (r - lo)), ends + curve / 4.0)
+
+    nodes = np.concatenate(([0.0], limit * _NODES, [limit]))
+    best_v, best_e, best, closed, evals, _ = _eps_sup(run, bound, nodes, *run(nodes), float, _DOWN_TOL, False)
+    value = _in_range(math.exp(best_v), best_v, "downward")
+    top_l = max(best, closed) + widest[0] / (r - limit)
+    up = value * math.exp(top_l + 8 * _U * (abs(top_l) + 1) - best_v)
+    return _verdict(value, best_e, upper=max(value, up), evals=evals)
 
 
 def domination_constant(mu: MeasureDensity, nu: MeasureDensity) -> float:

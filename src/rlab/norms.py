@@ -42,9 +42,9 @@ the top level and run over eps in blocks of at most 2**16 float64 values
 (512 KiB), or one eps at a time past that many terms, so grand norms stay
 finite for any finite levels and their memory does not grow with the grid.
 
+The loop itself, _eps_sup, also certifies embeddings.downward_check.
 eps_grid (2048 points, GRID_DELTA = 1e-6 from both ends) is sampled only by
-eps_profile and by downward_check and domination_slice_check, whose answer
-it defines; sharing it aligns their slices exactly.
+eps_profile and domination_slice_check, whose answer it defines.
 """
 from __future__ import annotations
 
@@ -199,6 +199,44 @@ def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
     return fn
 
 
+def _eps_sup(run, bound, nodes, vals, aux, key, tol, open_first):
+    """The eps-cell branch-and-bound of _sup_engine and downward_check: run(eps)
+    gives (values, aux) at nodes in one call, bound(lo, lo_aux, hi, hi_aux)
+    each cell's bound in the scale of key(value).  Cells lie between the
+    starting nodes (their run output vals, aux), open_first adds (0,
+    nodes[0]] (split geometrically, others into _SPLIT); a cell is split
+    while its bound tops key(best) by tol and its children are distinct.
+    Returns the best value (start ties to the last node), its eps, key(best),
+    the largest discarded bound, the evaluations and the node nearest 0."""
+    i = nodes.size - 1 - int(np.argmax(vals[::-1]))
+    best_v, best_e, evals = float(vals[i]), float(nodes[i]), nodes.size
+    lo, lo_a, hi, hi_a = nodes[:-1], aux[:-1], nodes[1:], aux[1:]
+    if open_first:
+        lo, lo_a, hi, hi_a = np.append(0.0, lo), np.append(aux[0], lo_a), nodes, aux
+    closed, first = -math.inf, None
+    while True:
+        if lo[0] == 0.0:
+            first = hi[0], hi_a[0]
+        best = key(best_v)
+        bnd = bound(lo, lo_a, hi, hi_a)
+        half = (hi - lo) / (2.0 * (0.5 * (lo + hi)))
+        split = (bnd > best + tol) & (half > 8 * _U)  # children must be distinct floats
+        closed = max(closed, float(np.max(bnd[~split], initial=-math.inf)))
+        if not split.any():
+            return best_v, best_e, best, closed, evals, first
+        lo, lo_a, hi, hi_a = lo[split], lo_a[split], hi[split], hi_a[split]
+        mid = np.where((lo[:, None] > 0) | (not open_first),
+                       lo[:, None] + (hi - lo)[:, None] * _FRAC, hi[:, None] * _GEOM)
+        vals, aux = run(mid.ravel())
+        evals += mid.size
+        j = int(np.argmax(vals))
+        if vals[j] > best_v:
+            best_v, best_e = float(vals[j]), float(mid.flat[j])
+        cut = np.column_stack((lo, mid, hi))
+        gs = np.column_stack((lo_a, aux.reshape(mid.shape), hi_a))
+        lo, lo_a, hi, hi_a = cut[:, :-1].ravel(), gs[:, :-1].ravel(), cut[:, 1:].ravel(), gs[:, 1:].ravel()
+
+
 def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float) -> EpsSupResult:
     """Certified sup over 0 < eps < limit = top - 1 of the slices of
     (levels, base, top): the branch-and-bound of the module docstring."""
@@ -213,38 +251,19 @@ def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float) -> EpsSupResul
         vals = fn(eps)
         return vals, (top - eps) * np.log(vals / vmax) - np.log(eps)
 
+    def bound(lo, lo_g, hi, hi_g):
+        m = 0.5 * (lo + hi)
+        half, lm, n_hi = (hi - lo) / (2.0 * m), np.log(m), np.log(hi) + hi_g
+        return np.where(lo > 0, np.maximum((lo_g + lm - half) / (top - lo),
+                                           (hi_g + lm + half) / (top - hi)),
+                        np.maximum(n_hi / top, n_hi / (top - hi)))
+
     with np.errstate(divide="ignore", invalid="ignore"):
         nodes = np.append(limit * _NODES, limit)
         vals, g = run(nodes)
-        i = nodes.size - 1 - int(np.argmax(vals[::-1]))  # ties go to the limit
-        best_v, best_e, evals, g_lim = float(vals[i]), float(nodes[i]), nodes.size, g[-1]
-        # the open cells [lo, hi] in ascending order, the first one (0, nodes[0]]
-        lo, lo_g, hi, hi_g = np.append(0.0, nodes[:-1]), np.append(g[0], g[:-1]), nodes, g
-        closed = -math.inf  # the largest bound of a discarded cell
-        while True:
-            if lo.size and lo[0] == 0.0:
-                e0, g0 = hi[0], hi_g[0]  # the smallest node
-            best = math.log(best_v / vmax)
-            m = 0.5 * (lo + hi)
-            half, lm, n_hi = (hi - lo) / (2.0 * m), np.log(m), np.log(hi) + hi_g
-            bound = np.where(lo > 0, np.maximum((lo_g + lm - half) / (top - lo),
-                                                (hi_g + lm + half) / (top - hi)),
-                             np.maximum(n_hi / top, n_hi / (top - hi)))
-            split = (bound > best + _TOL) & (half > 8 * _U)  # children must be distinct floats
-            closed = max(closed, float(np.max(bound[~split], initial=-math.inf)))
-            if not split.any():
-                break
-            lo, lo_g, hi, hi_g = lo[split], lo_g[split], hi[split], hi_g[split]
-            mid = np.where(lo[:, None] > 0, lo[:, None] + (hi - lo)[:, None] * _FRAC,
-                           hi[:, None] * _GEOM)
-            vals, g = run(mid.ravel())
-            evals += mid.size
-            j = int(np.argmax(vals))
-            if vals[j] > best_v:
-                best_v, best_e = float(vals[j]), float(mid.flat[j])
-            cut = np.column_stack((lo, mid, hi))
-            gs = np.column_stack((lo_g, g.reshape(mid.shape), hi_g))
-            lo, lo_g, hi, hi_g = cut[:, :-1].ravel(), gs[:, :-1].ravel(), cut[:, 1:].ravel(), gs[:, 1:].ravel()
+        best_v, best_e, best, closed, evals, (e0, g0) = _eps_sup(
+            run, bound, nodes, vals, g, lambda v: math.log(v / vmax), _TOL, True)
+    g_lim = g[-1]
     # l lies in [min(0, log e0 + g0), top_l], G in [g0, g_lim], log eps in [log e0, log limit]
     top_l = max(best, closed)
     c = (top + 1) * (abs(math.log(e0)) + abs(g0) + abs(g_lim) + abs(top_l) + abs(math.log(limit)))
@@ -356,8 +375,13 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
     # the Lorentz kinds; only lorentz_pq integrates f* past t = 1
     p, q = spec.p, spec.q
     bk, levels = fstar.segments(None if spec.kind == "lorentz_pq" else 1.0)
-    # 1-homogeneous: the last breakpoint (1 for the grand kinds) moves into
-    # the levels, so bk**(q/p) cannot overflow to a NaN base inf - inf
+    # 1-homogeneous: the last breakpoint (1 for the grand kinds, whose eps
+    # factor is not scale-free) moves into the levels, so bk**(q/p) cannot
+    # overflow to a NaN base inf - inf; lorentz_pq drops trailing zero
+    # levels first, so its bases cannot underflow to 0 past f*'s support
+    if spec.kind == "lorentz_pq":
+        k = np.count_nonzero(levels) or len(levels)
+        bk, levels = bk[:k + 1], levels[:k]
     end = bk[-1]
     bk, levels = bk / end, levels * end ** (1.0 / p)
     if math.isinf(q):
@@ -374,7 +398,7 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
         # w(end s) = w.coeff end^alpha s^alpha on the rescaled grid
         return levels, (q / p) * w.coeff * end**w.alpha * np.diff(bk**expo) / expo, q
     mbk, mv, mw = merge_segment_grids(bk, levels, w.density.breakpoints / end, w.density.values)
-    return mv, mw * np.diff(mbk ** (q / p)), q
+    return mv, mw * np.diff(np.minimum(mbk, 1.0) ** (q / p)), q  # nothing past f*'s end
 
 
 def space_norm(f: StepFunction, spec: SpaceSpec) -> Union[float, EpsSupResult]:

@@ -155,6 +155,24 @@ def test_embed_check_empirical_identity(capsys):
     assert payload["witness"].startswith("corpus[")
 
 
+def test_embed_check_downward_prints_its_bracket(capsys):
+    # step weights past upper = 1: the bracket [condition_value, upper] and
+    # the node count are printed, and --grid is validated but not read
+    argv = ["embed-check", "--check", "downward", "--p", "3", "--q", "1.5", "--upper", "2",
+            "--weight", '{"breakpoints": [0, 0.4, 1], "values": [1.5, 0.7]}',
+            "--target-weight", '{"power_weight": {"alpha": 0.0}}']
+    runs = [_run(capsys, argv + ["--grid", n]) for n in ("8", "2048")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    payload = json.loads(runs[0][1])
+    assert list(payload) == ["condition_value", "holds", "empirical_constant", "witness",
+                             "seed", "upper", "evals"]
+    assert payload["holds"] is True and payload["evals"] >= 66
+    assert payload["condition_value"] <= payload["upper"] <= payload["condition_value"] * (1 + 1e-9)
+    divergent = argv[:9] + ["--weight", '{"power_weight": {"alpha": -0.9}}', "--target-weight", POW1]
+    code, out, _ = _run(capsys, divergent)
+    assert code == 0 and json.loads(out)["upper"] == "inf"
+
+
 def test_embed_check_missing_parameters(capsys):
     code, _, err = _run(capsys, ["embed-check", "--check", "wholds",
                                  "--p", "2"])

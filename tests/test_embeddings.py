@@ -207,13 +207,29 @@ def test_downward_step_weights_and_upper_extension():
     assert wide.condition_value > base.condition_value
 
 
+# a convergent verdict's bracket bound: upper - value <= _WIDTH * value
+_WIDTH = 1e-9
+
+
+def _assert_certified(out, at_witness, grid_max, rel, abs_tol=0.0):
+    """out is the certified sup: its value is the reference at_witness at
+    its witness and at least grid_max, the reference's largest value on the
+    old eps grid, and [value, upper] is at most _WIDTH wide."""
+    value = out.condition_value
+    assert out.holds and math.isclose(value, at_witness, rel_tol=rel, abs_tol=abs_tol)
+    assert value >= grid_max * (1 - rel) - abs_tol
+    assert value <= out.upper <= value * (1 + _WIDTH) + abs_tol
+    assert out.evals >= 66
+
+
 def test_downward_divergent_pair_reports_inf(deadline):
-    # r = 4 and W/V = 2 t^(-1/2) make the integrand 2/t at every eps
+    # r = 4 and W/V = 2 t^(-1/2) make the integrand 2/t at every eps, eps = 0 included
     with deadline(20):
         out = downward_check(4.0, 2.0, PowerWeight(-0.5), ONE)
     assert not out.holds
-    assert out.condition_value == math.inf
-    assert out.witness == f"eps={eps_grid(1.0)[0]:.17g}"
+    assert out.condition_value == math.inf and out.upper == math.inf
+    assert out.witness == "eps=0"
+    assert out.evals == 0
 
 
 def test_downward_reports_the_true_divergence_threshold(deadline):
@@ -222,12 +238,17 @@ def test_downward_reports_the_true_divergence_threshold(deadline):
     # below that the integral is finite however steep the integrand
     with deadline(20):
         out = downward_check(3.0, 2.0, ONE, PowerWeight(0.45), grid_size=2048)
-    eps = eps_grid(1.0, 2048)
-    first = int(np.searchsorted(eps, 6.0 / 11.0))
-    assert eps[first - 1] < 6.0 / 11.0 <= eps[first]
     assert not out.holds
-    assert out.condition_value == math.inf
-    assert out.witness == f"eps={eps[first]:.17g}"
+    assert out.condition_value == math.inf and out.upper == math.inf
+    e = _witness_eps(out)
+
+    def gamma(x):  # in floats, as downward_check evaluates it
+        return (6.0 - x) / (3.0 - x) * -0.45 + 0.0
+
+    assert gamma(e) <= -1.0 < gamma(np.nextafter(e, 0.0))  # the smallest such float
+    assert e == pytest.approx(6.0 / 11.0, rel=1e-15)
+    eps = eps_grid(1.0, 2048)
+    assert e <= eps[int(np.searchsorted(eps, 6.0 / 11.0))]  # the grid's first divergent point
 
 
 def _mp_downward(p, q, w, v, upper, eps):
@@ -264,11 +285,9 @@ def _mp_downward(p, q, w, v, upper, eps):
 def test_downward_power_pairs_match_mpmath(p, q, w, v, upper):
     out = downward_check(p, q, w, v, upper=upper, grid_size=8)
     with mpmath.workdps(30):
-        want = [_mp_downward(p, q, w, v, upper, mpmath.mpf(e)) for e in eps_grid(q - 1.0, 8)]
-    best = max(range(8), key=lambda i: want[i])
-    assert out.holds
-    assert out.condition_value == pytest.approx(float(want[best]), rel=1e-12 if upper == 1 else 1e-9)
-    assert out.witness == f"eps={eps_grid(q - 1.0, 8)[best]:.17g}"
+        grid = max(_mp_downward(p, q, w, v, upper, mpmath.mpf(e)) for e in eps_grid(q - 1.0, 8))
+        at = _mp_downward(p, q, w, v, upper, mpmath.mpf(_witness_eps(out)))
+    _assert_certified(out, float(at), float(grid), 1e-12 if upper == 1 else 1e-9)
 
 
 def test_downward_with_an_overflowing_mass():
@@ -281,16 +300,19 @@ def test_downward_with_an_overflowing_mass():
         near = 1 / (v1 * (1 - mpmath.mpf(HUGE.alpha)))
         far = mpmath.quad(lambda t: t / (1 + c / v1 * (t - 1)), [1, 2]) / v1
         # the total is below 1, so the sup sits at the smallest eps
-        want = [float(total ** (1 / (3 - mpmath.mpf(eps[0])))) for total in (near, near + far)]
+        totals = (near, near + far)
         # w = v: the integrand is w itself, the total V(1) > 1, the sup at the largest eps
-        same = float(v1 ** (1 / (3 - mpmath.mpf(eps[-1]))))
-    assert want[0] == pytest.approx(3.8e-106, rel=1e-2)
-    for upper, value in zip((1.0, 2.0), want):
+
+        def at(total, e):
+            with mpmath.workdps(40):
+                return float(total ** (1 / (3 - mpmath.mpf(e))))
+
+    assert at(near, eps[0]) == pytest.approx(3.8e-106, rel=1e-2)
+    for upper, total in zip((1.0, 2.0), totals):
         out = downward_check(3.0, 1.5, ONE, HUGE, upper=upper)
-        assert out.holds and out.condition_value == pytest.approx(value, rel=1e-12)
-        assert out.witness == f"eps={eps[0]:.17g}"
+        _assert_certified(out, at(total, _witness_eps(out)), at(total, eps[0]), 1e-12)
     out = downward_check(3.0, 1.5, HUGE, HUGE)  # was nan: inf/inf
-    assert out.holds and out.condition_value == pytest.approx(same, rel=1e-12)
+    _assert_certified(out, at(v1, _witness_eps(out)), at(v1, eps[-1]), 1e-12)
 
 
 def test_downward_with_an_overflowing_mass_ratio():
@@ -299,26 +321,66 @@ def test_downward_with_an_overflowing_mass_ratio():
     # whose 1/(3 - eps) power is largest at the largest eps
     eps = eps_grid(0.5)
     out = downward_check(3.0, 1.5, PowerWeight(0.0, 1e200), PowerWeight(0.0, 1e-200))
-    with mpmath.workdps(40):
-        want = float(mpmath.mpf(10) ** (600 / (3 - mpmath.mpf(eps[-1]))))
-    assert want == pytest.approx(1e240, rel=1e-2)
-    assert out.holds and out.condition_value == pytest.approx(want, rel=1e-12)
-    assert out.witness == f"eps={eps[-1]:.17g}"
+
+    def at(e):
+        with mpmath.workdps(40):
+            return float(mpmath.mpf(10) ** (600 / (3 - mpmath.mpf(e))))
+
+    assert at(eps[-1]) == pytest.approx(1e240, rel=1e-2)
+    _assert_certified(out, at(_witness_eps(out)), at(eps[-1]), 1e-12)
 
 
 def test_downward_zero_weight_gives_zero():
     for w in (PowerWeight(0.5, 0.0), make_step([0.0, 1.0], [0.0])):
         out = downward_check(3.0, 1.5, w, PowerWeight(0.0, 1e-200), upper=2.0)
-        assert out.holds and out.condition_value == 0.0
+        assert out.holds and out.condition_value == 0.0 and out.upper == 0.0
 
 
 _LEAST, _LARGEST = mpmath.log(mpmath.mpf(2) ** -1075), mpmath.log(np.finfo(float).max)
 
 
+def _mp_power_pair(p, q, w, v):
+    """gamma(eps) and the log of (int_0^1 (W/V)^beta w dt)^(1/(r-eps)) in
+    closed form for power weights: W/V = ratio t^(aw-av), ratio = W(1)/V(1),
+    so the integral is ratio^beta c_w/(gamma+1), finite iff gamma > -1.
+    Also sup(), its sup over eps in [0, q-1], end limits included, for a
+    convergent pair: the larger end, or a root of (r-eps) N' + N (the sign
+    of the log value's slope, N the log integral) where a uniform 64-cell
+    scan sees it turn from + to -."""
+    p, q = mpmath.mpf(p), mpmath.mpf(q)
+    r = p * q / (p - q)
+    aw, da = mpmath.mpf(w.alpha), mpmath.mpf(w.alpha) - mpmath.mpf(v.alpha)
+    log_ratio, log_c = mpmath.log(_mp_mass(w) / _mp_mass(v)), mpmath.log(w.coeff)
+
+    def gamma(e):
+        return (r - e) / (p - e) * da + aw
+
+    def log_value(e):
+        beta = (r - e) / (p - e)
+        return (beta * log_ratio + log_c - mpmath.log(gamma(e) + 1)) / (r - e)
+
+    def slope(e):
+        beta, dbeta = (r - e) / (p - e), (r - p) / (p - e) ** 2
+        n = beta * log_ratio + log_c - mpmath.log(gamma(e) + 1)
+        return (r - e) * dbeta * (log_ratio - da / (gamma(e) + 1)) + n
+
+    def sup():
+        grid = [(q - 1) * k / 64 for k in range(65)]
+        signs = [slope(e) for e in grid]
+        peaks = [mpmath.findroot(slope, (a, b), solver="anderson")
+                 for a, b, sa, sb in zip(grid, grid[1:], signs, signs[1:]) if sa > 0 > sb]
+        return max(log_value(e) for e in [grid[0], grid[-1]] + peaks)
+
+    return gamma, log_value, sup
+
+
+POWER_PAIRS = dict(q=st.floats(1.05, 3.0), dp=st.floats(0.05, 4.0),
+                   aw=st.floats(-1.0, 3.0, exclude_min=True), av=st.floats(-1.0, 3.0, exclude_min=True),
+                   kw=st.floats(-300.0, 300.0), kv=st.floats(-300.0, 300.0))
+
+
 @settings(max_examples=200, deadline=None)
-@given(q=st.floats(1.05, 3.0), dp=st.floats(0.05, 4.0),
-       aw=st.floats(-1.0, 3.0, exclude_min=True), av=st.floats(-1.0, 3.0, exclude_min=True),
-       kw=st.floats(-300.0, 300.0), kv=st.floats(-300.0, 300.0))
+@given(**POWER_PAIRS)
 @example(q=1.5, dp=1.5, aw=0.0, av=0.0, kw=200.0, kv=-200.0)  # W(1)/V(1) = 1e400
 @example(q=1.5, dp=1.5, aw=0.0, av=0.0, kw=300.0, kv=-300.0)  # the sup is 1e360
 @example(q=1.05, dp=4.0, aw=0.0, av=0.0, kw=-300.0, kv=300.0)  # the sup is 1e-345
@@ -327,24 +389,21 @@ def test_downward_power_pairs_in_closed_form(q, dp, aw, av, kw, kv):
     # is ratio^beta c_w/(gamma+1), finite iff gamma = beta (aw-av) + aw > -1
     p = q + dp
     w, v = PowerWeight(aw, 10.0**kw), PowerWeight(av, 10.0**kv)
-    eps = eps_grid(q - 1.0, 8)
     with mpmath.workdps(40):
-        r = mpmath.mpf(p) * q / (mpmath.mpf(p) - q)
-        log_ratio = mpmath.log(_mp_mass(w) / _mp_mass(v))
-        gammas, logs = [], []
-        for e in map(mpmath.mpf, eps):
-            beta = (r - e) / (p - e)
-            gammas.append(beta * (mpmath.mpf(aw) - av) + aw)
-            logs.append((beta * log_ratio + mpmath.log(w.coeff) - mpmath.log(gammas[-1] + 1))
-                        / (r - e) if gammas[-1] > -1 else mpmath.inf)
-    assume(all(abs(g + 1) > 1e-9 for g in gammas))  # the float gamma is on the same side
-    divergent = [i for i, g in enumerate(gammas) if g <= -1]
-    if divergent:
+        gamma, log_value, sup = _mp_power_pair(p, q, w, v)
+        ends = [gamma(mpmath.mpf(0)), gamma(mpmath.mpf(q) - 1)]
+    assume(all(abs(g + 1) > 1e-9 for g in ends))  # the float gamma is on the same side
+    if min(ends) <= -1:  # gamma is monotone: divergence shows at an end
         out = downward_check(p, q, w, v, grid_size=8)
-        assert not out.holds and out.condition_value == math.inf
-        assert out.witness == f"eps={eps[divergent[0]]:.17g}"
+        assert not out.holds and out.condition_value == math.inf and out.upper == math.inf
+        e = _witness_eps(out)
+        with mpmath.workdps(40):  # the smallest float at which gamma <= -1, up to rounding
+            assert gamma(mpmath.mpf(e)) <= -1 + 1e-11
+            assert e == 0.0 or gamma(mpmath.mpf(np.nextafter(e, 0.0))) > -1 - 1e-11
         return
-    best = max(logs)
+    with mpmath.workdps(40):
+        best = sup()
+        grid = max(log_value(mpmath.mpf(e)) for e in eps_grid(q - 1.0, 8))
     assume(min(abs(best - _LARGEST), abs(best - _LEAST)) > 1e-9)  # rounding decides there
     if best > _LARGEST:
         with pytest.raises(OverflowError):
@@ -354,16 +413,59 @@ def test_downward_power_pairs_in_closed_form(q, dp, aw, av, kw, kv):
             downward_check(p, q, w, v, grid_size=8)
     else:
         out = downward_check(p, q, w, v, grid_size=8)
+        with mpmath.workdps(40):
+            at = float(mpmath.exp(log_value(mpmath.mpf(_witness_eps(out)))))
         # a subnormal value carries an absolute rounding of a few of its ulps
-        assert out.holds and math.isclose(out.condition_value, float(mpmath.exp(best)),
-                                          rel_tol=1e-12, abs_tol=2.0**-1072)
-        i = [f"eps={e:.17g}" for e in eps].index(out.witness)
-        assert logs[i] >= best - 1e-12 * max(1, abs(best))  # the max up to rounding
+        _assert_certified(out, at, float(mpmath.exp(grid)), 1e-12, abs_tol=2.0**-1072)
 
 
-def _step_downward_loop(p, q, w, v, upper, grid_size):
+@settings(max_examples=200, deadline=None)
+@given(**POWER_PAIRS)
+@example(q=1.5, dp=1.5, aw=0.0, av=0.0, kw=300.0, kv=-300.0)  # the sup is 1e360
+@example(q=2.0, dp=1.0, aw=0.0, av=0.4, kw=0.0, kv=0.0)  # rising to an end limit
+@example(q=1.96, dp=2.64, aw=2.3, av=1.06, kw=-0.5, kv=-2.75)  # a peak inside, near eps = 0.161
+def test_downward_bracket_contains_the_power_pair_sup(q, dp, aw, av, kw, kv):
+    # the 40-digit sup over [0, q-1], end limits included, lies in
+    # [value, upper] (value up to its own rounding), and the bracket is narrow
+    p = q + dp
+    w, v = PowerWeight(aw, 10.0**kw), PowerWeight(av, 10.0**kv)
+    with mpmath.workdps(40):
+        gamma, _, sup = _mp_power_pair(p, q, w, v)
+        assume(min(gamma(mpmath.mpf(0)), gamma(mpmath.mpf(q) - 1)) > -1 + 1e-9)
+        best = sup()
+        assume(mpmath.log(np.finfo(float).tiny) + 1 < best < _LARGEST - 1)
+        top = mpmath.exp(best)
+    out = downward_check(p, q, w, v)
+    value, upper = mpmath.mpf(out.condition_value), mpmath.mpf(out.upper)
+    assert out.holds and value <= top * (1 + mpmath.mpf(2) ** -40) and top <= upper
+    assert upper - value <= _WIDTH * value
+
+
+def test_downward_integrates_nothing_with_no_piece_past_k1(monkeypatch):
+    # power/power at upper = 1: the whole integral is the first-piece closed form
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrate_batch called with no knot interval past k1")
+
+    monkeypatch.setattr(embeddings, "integrate_batch", no_quadrature)
+    out = downward_check(3.0, 1.5, PowerWeight(0.5), PowerWeight(1.0))
+    # r = 3, so beta = 1 and the integrand is (W/V) w = (4/3) t^(-1/2) t^(1/2) = 4/3 at
+    # every eps; (4/3)^(1/(3-eps)) is largest at eps = q - 1
+    assert out.holds and out.condition_value == pytest.approx((4.0 / 3.0) ** (1.0 / 2.5), rel=1e-15)
+    assert out.witness == "eps=0.5"
+
+
+def test_downward_ignores_grid_size():
+    w = make_step([0.0, 0.4, 1.0], [1.5, 0.7])
+    v = make_step([0.0, 0.2, 0.7, 1.0], [0.9, 1.3, 0.6])
+    for args in ((3.0, 1.5, w, v, 2.0), (4.0, 2.0, PowerWeight(-0.5), ONE, 1.0),
+                 (3.0, 2.0, ONE, PowerWeight(0.45), 1.0)):
+        verdicts = [downward_check(*args[:4], upper=args[4], grid_size=n) for n in (None, 8, 64, 2048)]
+        assert all(out == verdicts[0] for out in verdicts)
+
+
+def _step_downward_loop(p, q, w, v, upper, eps):
     """downward_check for step weights one eps and one knot interval at a
-    time, as (values over the grid, grid): the reference for the batch."""
+    time, as its values at eps: the reference for the batch."""
     r = p * q / (p - q)
 
     def extend(g):
@@ -382,26 +484,23 @@ def _step_downward_loop(p, q, w, v, upper, grid_size):
     (dw, pw), (_, pv) = extend(w), extend(v)
     knots = np.unique(np.concatenate(([upper], w.breakpoints, v.breakpoints)))
     knots = knots[knots <= upper]
-    eps = eps_grid(q - 1.0, grid_size)
     values = []
     for e in eps:
         beta = (r - e) / (p - e)
         total = sum(integrate_adaptive(lambda t: (pw(t) / pv(t)) ** beta * dw(t), a, b).value
                     for a, b in zip(knots[:-1], knots[1:]))
         values.append(total ** (1.0 / (r - e)))
-    return np.array(values), eps
+    return np.array(values)
 
 
 @pytest.mark.parametrize("upper", [1.0, 2.0])
 def test_downward_step_weights_match_interval_loop(upper):
     w = make_step([0.0, 0.4, 1.0], [1.5, 0.7])
     v = make_step([0.0, 0.2, 0.7, 1.0], [0.9, 1.3, 0.6])
-    want, eps = _step_downward_loop(3.0, 1.5, w, v, upper, 64)
+    grid = _step_downward_loop(3.0, 1.5, w, v, upper, eps_grid(0.5, 64))
     out = downward_check(3.0, 1.5, w, v, upper=upper, grid_size=64)
-    i = int(np.argmax(want))
-    assert out.holds
-    assert out.condition_value == pytest.approx(want[i], rel=1e-9)
-    assert out.witness == f"eps={eps[i]:.17g}"
+    at = _step_downward_loop(3.0, 1.5, w, v, upper, [_witness_eps(out)])[0]
+    _assert_certified(out, at, grid.max(), 1e-9)
 
 
 def _mp_unit_over_step(p, q, bk, vals, upper, eps):
@@ -432,13 +531,12 @@ def test_downward_with_a_tiny_target_density(upper):
     # inside the quadrature past the first knot, which read it as divergence
     bk, vals = [0.0, 0.5, 1.0], [1e-300, 1.0]
     out = downward_check(3.0, 2.0, ONE, make_step(bk, vals), upper=upper, grid_size=8)
-    eps = eps_grid(1.0, 8)
     with mpmath.workdps(20):
-        want = [_mp_unit_over_step(3.0, 2.0, bk, vals, upper, mpmath.mpf(e)) for e in eps]
-    best = max(range(8), key=lambda i: want[i])
-    assert float(want[best]) == pytest.approx(8.704e149, rel=1e-3)
-    assert out.holds and out.condition_value == pytest.approx(float(want[best]), rel=1e-12)
-    assert out.witness == f"eps={eps[best]:.17g}"
+        grid = max(_mp_unit_over_step(3.0, 2.0, bk, vals, upper, mpmath.mpf(e))
+                   for e in eps_grid(1.0, 8))
+        at = _mp_unit_over_step(3.0, 2.0, bk, vals, upper, mpmath.mpf(_witness_eps(out)))
+    assert float(grid) == pytest.approx(8.704e149, rel=1e-3)
+    _assert_certified(out, float(at), float(grid), 1e-12)
 
 
 def test_downward_with_a_subnormal_target_primitive():
@@ -449,11 +547,10 @@ def test_downward_with_a_subnormal_target_primitive():
             downward_check(3.0, 2.0, ONE, v, upper=upper, grid_size=8)
 
 
-def _downward_loop(p, q, w, v, upper, grid_size):
+def _downward_loop(p, q, w, v, upper, eps):
     """downward_check for power and step weights in plain floats, unscaled,
-    one eps and one knot interval at a time, as (values over the grid,
-    grid): the first knot interval in closed form, the others by
-    integrate_adaptive."""
+    one eps and one knot interval at a time, as its values at eps: the
+    first knot interval in closed form, the others by integrate_adaptive."""
     r = p * q / (p - q)
 
     def extend(g):
@@ -469,7 +566,6 @@ def _downward_loop(p, q, w, v, upper, grid_size):
     (bw, cw, aw, dw, pw), (bv, cv, av, _, pv) = extend(w), extend(v)
     knots = np.unique(bw + bv + [upper])
     knots = knots[knots <= upper]
-    eps = eps_grid(q - 1.0, grid_size)
     values = []
     for e in eps:
         beta = (r - e) / (p - e)
@@ -482,7 +578,7 @@ def _downward_loop(p, q, w, v, upper, grid_size):
         total += sum(integrate_adaptive(lambda t: (pw(t) / pv(t)) ** beta * dw(t), a, b).value
                      for a, b in zip(knots[1:-1], knots[2:]))
         values.append(total ** (1.0 / (r - e)))
-    return np.array(values), eps
+    return np.array(values)
 
 
 def test_downward_random_pairs_match_interval_loop():
@@ -501,16 +597,18 @@ def test_downward_random_pairs_match_interval_loop():
         p = q * float(rng.uniform(1.2, 3.0))
         w, v = weight(), weight()
         upper = 1.0 if rng.uniform() < 0.5 else float(rng.uniform(1.0, 3.0))
-        want, eps = _downward_loop(p, q, w, v, upper, 8)
+        # the ends, where a divergence shows (gamma is monotone), and the old grid
+        want = _downward_loop(p, q, w, v, upper, np.concatenate(([0.0], eps_grid(q - 1.0, 8), [q - 1.0])))
         out = downward_check(p, q, w, v, upper=upper, grid_size=8)
         case = f"pair {k}: {p}, {q}, {w}, {v}, upper={upper}"
+        e = _witness_eps(out)
         if math.isinf(want.max()):
             assert not out.holds and out.condition_value == math.inf, case
-            assert out.witness == f"eps={eps[np.argmax(want)]:.17g}", case
+            # the smallest float eps that diverges
+            assert math.isinf(_downward_loop(p, q, w, v, upper, [e])[0]), case
+            assert e == 0.0 or math.isfinite(_downward_loop(p, q, w, v, upper, [np.nextafter(e, 0.0)])[0]), case
             continue
-        i = [f"eps={e:.17g}" for e in eps].index(out.witness)
-        assert out.holds and out.condition_value == pytest.approx(want.max(), rel=1e-9), case
-        assert want[i] >= want.max() * (1 - 1e-9), case
+        _assert_certified(out, _downward_loop(p, q, w, v, upper, [e])[0], want[1:-1].max(), 1e-9)
 
 
 def test_downward_propagates_finite_quadrature_failure(monkeypatch):

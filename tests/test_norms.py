@@ -574,16 +574,28 @@ def test_lorentz_pq_norm_with_every_power_underflowing_matches_mpmath():
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
+def test_lorentz_pq_norm_with_an_underflowing_base_matches_mpmath():
+    # f = 1 under the density {0.01, 1}: f* is 1 on (0, 0.505) and 0 on to
+    # t = 1; scaled by t = 1 its one base 0.505^1092 underflowed and the norm
+    # was a silent 0.0.  The norm is 0.505^(1/p)
+    mu = MeasureDensity(make_step([0.0, 0.5, 1.0], [0.01, 1.0]))
+    got = lorentz_pq_norm(make_step([0.0, 1.0], [1.0]), 0.25, 273.0, mu)
+    want = _mp_power_sum([1.0], _mp_diff_pow([0.0, 0.005 + 0.5], mpmath.mpf(273) / 0.25), 273.0)
+    assert float(want) == pytest.approx(0.505**4, rel=1e-14)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(log_levels=st.lists(st.floats(-300.0, 0.0), min_size=1, max_size=6),
-       p=st.floats(0.25, 8.0), q=st.floats(1.0, 200.0), alpha=st.floats(-0.9, 3.0),
+       p=st.floats(0.25, 8.0), q=st.floats(1.0, 1e4), alpha=st.floats(-0.9, 3.0),
        dense=st.booleans())
 @example(log_levels=[0.0, -3.0], p=0.28125, q=80.0, alpha=0.0, dense=True)
+@example(log_levels=[0.0], p=0.25, q=273.0, alpha=0.0, dense=True)  # f* ends in a zero level
 def test_plain_norms_of_tiny_levels_are_never_zero(log_levels, p, q, alpha, dense):
-    # the smallest level (>= 1e-300) fills a set of measure >= 1/600 ending
-    # past t = 0.5, so both norms exceed about 1e-306; q/p <= 800 keeps that
-    # set's base 0.5^(q/p) - ... a normal float (a base that underflows
-    # inside _terms is a separate, still open defect)
+    # the smallest level (>= 1e-300) fills a set of measure >= 1/600, the
+    # last of f*'s support, so both norms exceed about 1e-306 for any q/p
+    # (q/p runs to 4e4; p >= 0.25 keeps the norm itself, up to 0.505^(1/p)
+    # times a level, inside the float range)
     bk = np.linspace(0.0, 1.0, len(log_levels) + 1)
     f = make_step(bk, 10.0 ** np.array(log_levels))
     mu = MeasureDensity(make_step([0.0, 0.5, 1.0], [0.01, 1.0])) if dense else None
