@@ -56,7 +56,6 @@ __all__ = [
     "bump_kernel",
     "custom_step_kernel",
     "kernel_from_json",
-    "kernel_to_json",
     "maximal",
     "radial_majorant",
     "is_potential_type",
@@ -733,12 +732,3 @@ def kernel_from_json(obj: dict) -> Kernel:
     if kind not in _KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     return Kernel(kind, hw)
-
-
-def kernel_to_json(k: Kernel) -> dict:
-    out = {"kind": k.kind, "half_width": k.half_width}
-    if k.kind == "custom_step":
-        out["breakpoints"] = list(k.breakpoints)
-        out["values"] = list(k.values)
-        out["normalize"] = False
-    return out

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import random_step_function
 from .norms import (_NODES, _U, SpaceSpec, _eps_sup, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
-from .quadrature import integrate_batch
+from .quadrature import _integrate_batch
 from .stepfn import (MeasureDensity, StepFunction, characteristic, make_step,
                      merge_segment_grids, step_to_json)
 from .weights import PowerWeight, Weight, _as_weight
@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 _SLICE_TOL = 1e-10  # SliceDominationReport.tolerance of domination_slice_check
-_DOWN_TOL = 1e-10  # downward_check's stopping gap in log(value), its quadrature's rel_tol
+_DOWN_TOL = 1e-10  # downward_check's stopping gap in log(value)
+_DOWN_FLOOR = 1e-14  # per-piece error accepted past k1 (W/V <= 1 there): 1e-10 relative may be past float reach
 
 
 @dataclass
@@ -209,7 +210,7 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     alpha_w, in closed form.  gamma is monotone in eps, so divergence (c_w >
     0, gamma <= -1) is decided at the ends before any quadrature: value inf,
     witness the smallest float eps with gamma <= -1.  Knot intervals past k1
-    (if any) go through one integrate_batch call per round (rel_tol 1e-10),
+    (if any) go through one quadrature batch per round (1e-10 relative or 1e-14),
     W/V divided by its largest knot value.  norms._eps_sup runs from nodes 0,
     (q-1) eps_grid(1, 64) and q-1, splitting cells into 8 while their bound
     tops the best L by 1e-10.  H is convex in beta (Hoelder), beta monotone
@@ -271,9 +272,9 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
             cond = (kappa * np.abs(beta * da) + g1) * (1.0 / g1 + abs(log_k1))
         if pieces:
             powers = np.repeat(beta, pieces)
-            res = integrate_batch(
+            res = _integrate_batch(
                 lambda t, k: (ew.primitive(t) / ev.primitive(t) / scale) ** powers[k] * ew.density(t),
-                np.tile(knots[1:-1], eps.size), np.tile(knots[2:], eps.size))
+                np.tile(knots[1:-1], eps.size), np.tile(knots[2:], eps.size), _DOWN_FLOOR)
             total, err = (x.reshape(eps.size, pieces).sum(axis=1) for x in (res.value, res.error_estimate))
             with np.errstate(divide="ignore", invalid="ignore"):  # W = 0 past k1
                 rest = np.log(total)
@@ -390,18 +391,6 @@ class ProbeReport:
     s: float
     rows: list
 
-    def decade_growth(self) -> list:
-        """Ratio growth factors normalized per decade of shrink, for each
-        consecutive pair of rows."""
-        out = []
-        for lo, hi in zip(self.rows[:-1], self.rows[1:]):
-            decades = math.log10(lo.a / hi.a)
-            if decades <= 0 or hi.ratio <= 0 or lo.ratio <= 0:
-                out.append(math.nan)
-            else:
-                out.append((hi.ratio / lo.ratio) ** (1.0 / decades))
-        return out
-
     def to_csv(self, fh, header_note: str = "") -> None:
         if header_note:
             fh.write(f"# {header_note}\n")
@@ -446,16 +435,15 @@ class SliceDominationReport:
 
 
 def domination_slice_check(f: StepFunction, p: float, q: float,
-                           mu: MeasureDensity, nu: MeasureDensity,
-                           grid_size: Optional[int] = None) -> SliceDominationReport:
+                           mu: MeasureDensity, nu: MeasureDensity) -> SliceDominationReport:
     """If nu <= C mu then each eps slice of the nu-weighted grand Lorentz
     functional is at most C^(1/(q-eps)) times the mu-weighted one; reports
-    the worst slack over the eps grid."""
+    the worst slack over the default eps grid."""
     C = domination_constant(mu, nu)
     if not math.isfinite(C):
         return SliceDominationReport(constant=math.inf, min_slack=-math.inf,
                                      worst_eps=math.nan, tolerance=_SLICE_TOL)
-    eps = eps_grid(float(q) - 1.0, grid_size)
+    eps = eps_grid(float(q) - 1.0)
     slice_nu = grand_lorentz_slice_values(f, p, q, eps, t_weight=nu)
     slice_mu = grand_lorentz_slice_values(f, p, q, eps, t_weight=mu)
     slack = C ** (1.0 / (float(q) - eps)) * slice_mu - slice_nu

@@ -61,7 +61,6 @@ from .stepfn import (
     MeasureDensity,
     StepFunction,
     measure_from_json,
-    measure_to_json,
     merge_segment_grids,
 )
 from .weights import (
@@ -70,7 +69,6 @@ from .weights import (
     _as_weight,
     segment_weight_integrals,
     weight_from_json,
-    weight_to_json,
 )
 
 __all__ = [
@@ -86,12 +84,10 @@ __all__ = [
     "lambda_norm",
     "grand_lambda_norm",
     "grand_lorentz_slice_values",
-    "grand_lambda_slice_values",
     "eps_profile",
     "space_norm",
     "norm_value",
     "spacespec_from_json",
-    "spacespec_to_json",
     "INF",
 ]
 
@@ -470,7 +466,7 @@ def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
     so f** is built with f*'s top level and last breakpoint factored out,
     and the q-th power integrals are summed in log-sum-exp form.  The first
     segment and the tail are power rules; the others, (a + b/t)^q, go
-    through one integrate_batch call (default rel_tol, 1e-10) in u = log t,
+    through one integrate_batch call (relative tolerance 1e-10) in u = log t,
     each integrand divided by its larger end value (its log is convex in
     u), so a peak at a segment end cannot hide from the first panel.  Raises
     OverflowError when the norm itself exceeds the float range.
@@ -551,13 +547,6 @@ def grand_lorentz_slice_values(f: StepFunction, p: float, q: float, eps,
     return _slice_closure(*_terms(f, spec, t_weight))(eps)
 
 
-def grand_lambda_slice_values(f: StepFunction, p: float, eps, weight: Weight,
-                              mu: Optional[MeasureDensity] = None) -> np.ndarray:
-    """(eps int_0^1 f*(t)^{p-eps} w(t) dt)^{1/(p-eps)} at the given eps values."""
-    spec = SpaceSpec("lambda_grand", p, weight=weight, measure=mu)
-    return _slice_closure(*_terms(f, spec))(eps)
-
-
 def spacespec_from_json(obj: dict) -> SpaceSpec:
     if not isinstance(obj, dict):
         raise ValueError("space spec JSON must be an object")
@@ -575,14 +564,3 @@ def spacespec_from_json(obj: dict) -> SpaceSpec:
     return SpaceSpec(obj["kind"], obj["p"], q,
                      None if weight is None else weight_from_json(weight),
                      None if measure is None else measure_from_json(measure))
-
-
-def spacespec_to_json(spec: SpaceSpec) -> dict:
-    out = {"kind": spec.kind, "p": spec.p}
-    if spec.q is not None:
-        out["q"] = "inf" if math.isinf(spec.q) else spec.q
-    if spec.weight is not None:
-        out["weight"] = weight_to_json(spec.weight)
-    if spec.measure is not None:
-        out["measure"] = measure_to_json(spec.measure)
-    return out

@@ -2,11 +2,10 @@
 
 A 7-point Gauss rule embedded in a 15-point Kronrod rule gives a per-interval
 error estimate; intervals whose estimate exceeds their share of the budget
-are bisected until the total estimate meets the requested tolerance.  The
-integrand is always evaluated on batched node arrays, so vector-aware
-callables stay fast.  integrate_batch runs many independent problems through
-one such loop, each to its own budget; integrate_adaptive is its
-one-problem case.
+are bisected until the total estimate is at most _REL_TOL times the
+integral.  The integrand is always evaluated on batched node arrays, so
+vector-aware callables stay fast.  integrate_batch runs many independent
+problems through one such loop, each to its own budget.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadratureResult", "integrate_adaptive", "integrate_batch"]
+__all__ = ["QuadratureError", "QuadratureResult", "integrate_batch"]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric)
 _XK = np.array([
@@ -54,7 +53,7 @@ _GW[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))      # Gauss weights on shar
 class QuadratureError(RuntimeError):
     """Raised when the interval budget is exhausted before convergence, or
     as soon as the running value or error estimate is not finite.  index is
-    the failing problem of a batch (0 for integrate_adaptive)."""
+    the failing problem of the batch."""
 
     def __init__(self, message: str, value: float, achieved: float, requested: float):
         super().__init__(f"{message} (achieved {achieved:.3e}, requested {requested:.3e})")
@@ -66,17 +65,19 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class QuadratureResult:
-    """One integral (integrate_adaptive), or per-problem arrays of the same
-    fields (integrate_batch)."""
+    """Per-problem arrays of an integrate_batch run."""
 
-    value: float
-    error_estimate: float
-    n_evals: int
-    n_intervals: int
+    value: np.ndarray
+    error_estimate: np.ndarray
+    n_evals: np.ndarray
+    n_intervals: np.ndarray
 
 
 # problems refined together by integrate_batch; bounds its working arrays
 _GROUP = 1024
+# a problem is done at error <= _REL_TOL * |I|, and fails at _MAX_INTERVALS short of it
+_REL_TOL = 1e-10
+_MAX_INTERVALS = 4096
 
 
 def _panels(fn, a, b):
@@ -90,18 +91,22 @@ def _panels(fn, a, b):
     return kron, np.abs(kron - gauss)
 
 
-def integrate_batch(fn, a, b, rel_tol: float = 1e-10, abs_floor: float = 1e-14,
-                    max_intervals: int = 4096) -> QuadratureResult:
+def integrate_batch(fn, a, b) -> QuadratureResult:
     """Integrate m independent problems, problem k over (a[k], b[k]).
 
     fn(t, k) gets flat node and problem-index arrays and returns the
-    values elementwise.  Each problem runs exactly as integrate_adaptive
-    would run it alone: its own budget max(rel_tol * |I_k|, abs_floor), its
-    own max_intervals, and the same bisection rule.  Problems are refined
-    in groups of _GROUP, in index order.  If any fail, QuadratureError is
-    raised for the lowest failing index (exc.index), once every problem
-    below it has converged.  Returns a QuadratureResult of arrays.
+    values elementwise.  Each problem runs exactly as it would run alone:
+    its own budget _REL_TOL * |I_k|, its own _MAX_INTERVALS, and the same
+    bisection rule.  Problems are refined in groups of _GROUP, in index
+    order.  If any fail, QuadratureError is raised for the lowest failing
+    index (exc.index), once every problem below it has converged.  Returns
+    a QuadratureResult of arrays.
     """
+    return _integrate_batch(fn, a, b, 0.0)
+
+
+def _integrate_batch(fn, a, b, floor: float) -> QuadratureResult:
+    """integrate_batch, each problem also accepted at error <= floor."""
     a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape or not np.all(b > a):
         raise ValueError("need b > a, one upper limit per lower limit")
@@ -123,11 +128,11 @@ def integrate_batch(fn, a, b, rel_tol: float = 1e-10, abs_floor: float = 1e-14,
         while True:
             count = np.bincount(own, minlength=n)
             total, err_total = np.bincount(own, vals, n), np.bincount(own, errs, n)
-            budget = np.maximum(rel_tol * np.abs(total), abs_floor)
+            budget = np.maximum(_REL_TOL * np.abs(total), floor)
             live = count > 0
             bad = live & ~(np.isfinite(total) & np.isfinite(err_total))
             done = live & ~bad & (err_total <= budget)
-            full = live & ~bad & ~done & (count >= max_intervals)
+            full = live & ~bad & ~done & (count >= _MAX_INTERVALS)
             for out, got in ((value, total), (error, err_total), (n_intervals, count)):
                 out[start:start + n][done] = got[done]
             live &= ~(bad | done | full)
@@ -158,18 +163,3 @@ def integrate_batch(fn, a, b, rel_tol: float = 1e-10, abs_floor: float = 1e-14,
             raise failure
     # each bisection replaces one panel by two fresh ones
     return QuadratureResult(value, error, 15 * (2 * n_intervals - 1), n_intervals)
-
-
-def integrate_adaptive(fn, a: float, b: float, rel_tol: float = 1e-10,
-                       abs_floor: float = 1e-14, max_intervals: int = 4096) -> QuadratureResult:
-    """Integrate fn over (a, b) to relative tolerance rel_tol.
-
-    fn must accept a 1-d array of points and return values elementwise.
-    The accepted error is max(rel_tol * |integral|, abs_floor).  Raises
-    QuadratureError if max_intervals bisections are not enough, or once
-    the running value or error estimate is not finite (no interval could
-    then be chosen to split).  This is integrate_batch with one problem.
-    """
-    res = integrate_batch(lambda t, k: fn(t), [a], [b], rel_tol, abs_floor, max_intervals)
-    return QuadratureResult(float(res.value[0]), float(res.error_estimate[0]),
-                            int(res.n_evals[0]), int(res.n_intervals[0]))

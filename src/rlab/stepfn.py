@@ -248,12 +248,8 @@ class MeasureDensity:
         lo, hi = self.primitive([a, b])
         return float(hi - lo)
 
-    @classmethod
-    def lebesgue(cls) -> "MeasureDensity":
-        return cls(make_step([0.0, 1.0], [1.0]))
 
-
-LEBESGUE = MeasureDensity.lebesgue()
+LEBESGUE = MeasureDensity(make_step([0.0, 1.0], [1.0]))
 
 
 @dataclass(frozen=True)
@@ -276,10 +272,6 @@ class IntervalSet:
     def measure(self, mu: Optional[MeasureDensity] = None) -> float:
         mu = mu or LEBESGUE
         return float(sum(mu.interval_mass(a, b) for a, b in self.intervals))
-
-    @property
-    def length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
 
 
 def merge_segment_grids(bk_a, va, bk_b, vb):

@@ -40,10 +40,6 @@ class PowerWeight:
         """W(t) = coeff * t**(alpha+1) / (alpha+1), the integral over (0, t)."""
         return self.coeff * np.asarray(t, dtype=float) ** (self.alpha + 1.0) / (self.alpha + 1.0)
 
-    def segment_integrals(self, bk: np.ndarray) -> np.ndarray:
-        """Exact integral of the weight over each segment of the grid bk."""
-        return self.coeff * np.diff(bk ** (self.alpha + 1.0)) / (self.alpha + 1.0)
-
 
 Weight = Union[PowerWeight, MeasureDensity, StepFunction]
 
@@ -63,7 +59,7 @@ def segment_weight_integrals(w: Weight, bk: np.ndarray) -> np.ndarray:
     inside [0, 1]; exact for both weight kinds."""
     w = _as_weight(w)
     if isinstance(w, PowerWeight):
-        return w.segment_integrals(bk)
+        return w.coeff * np.diff(bk ** (w.alpha + 1.0)) / (w.alpha + 1.0)
     return np.diff(w.primitive(bk))
 
 

@@ -3,10 +3,13 @@
 These deliberately avoid the library's code paths: the rearrangement
 oracle goes through the inf-formula with bisection on an independently
 computed distribution function, the maximal oracle maximizes over an
-explicit dense radius grid, and the eps-sup oracle evaluates closed-form
-slice expressions on a plain uniform grid.
+explicit dense radius grid, the eps-sup oracle evaluates closed-form
+slice expressions on a plain uniform grid, and integrals go through a
+fixed composite Gauss-Legendre rule, not the library's adaptive one.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,3 +110,21 @@ def chi_grand_lorentz_slices(measure_of_a, p, q):
         return (eps * m ** (q / p)) ** (1.0 / (q - eps))
 
     return fn
+
+
+@lru_cache(maxsize=None)  # leggauss takes ~1 ms, and a test calls the rule thousands of times
+def _legendre_rule():
+    return np.polynomial.legendre.leggauss(40)
+
+
+def gauss_legendre(fn, a, b):
+    """int_a^b fn by a fixed rule: 16 equal panels with a 40-point
+    Gauss-Legendre rule on each.  fn takes a 1-d array of points, all
+    strictly inside (a, b), and returns values elementwise.  Exact to
+    rounding for integrands analytic on a neighbourhood of [a, b] that vary
+    by a moderate factor within each panel."""
+    x, w = _legendre_rule()
+    edges = np.linspace(a, b, 17)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    pts = mid[:, None] + half[:, None] * x
+    return float(np.sum(fn(pts.ravel()).reshape(pts.shape) * w * half[:, None]))

@@ -32,7 +32,7 @@ def test_power_segment_integrals_exact():
     w = PowerWeight(alpha=1.0, coeff=3.0)
     bk = np.array([0.0, 0.5, 1.0])
     # integral of 3t over (a, b) is 1.5 (b^2 - a^2)
-    assert np.allclose(w.segment_integrals(bk), [0.375, 1.125], rtol=1e-15)
+    assert np.allclose(segment_weight_integrals(w, bk), [0.375, 1.125], rtol=1e-15)
     total = segment_weight_integrals(w, np.array([0.0, 1.0]))
     assert total.sum() == pytest.approx(1.5, rel=1e-15)
 
@@ -41,7 +41,7 @@ def test_power_segment_integrals_singular_endpoint():
     # W(t) = 2 sqrt(t) stays exact even though w blows up at 0.
     w = PowerWeight(alpha=-0.5)
     bk = np.array([0.0, 0.25, 1.0])
-    assert np.allclose(w.segment_integrals(bk), [1.0, 1.0], rtol=1e-15)
+    assert np.allclose(segment_weight_integrals(w, bk), [1.0, 1.0], rtol=1e-15)
 
 
 def test_step_weight_segment_integrals():
