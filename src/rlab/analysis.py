@@ -519,17 +519,12 @@ class PiecewisePoly(_Piecewise):
         out[~inside] = 0.0
         return out
 
-    def _combine(self, other: "PiecewisePoly", sign: float) -> "PiecewisePoly":
+    def __sub__(self, other):
+        other = _as_poly(other)
         new_bk = np.union1d(self.breakpoints, other.breakpoints)
         ca = self._resampled_coeffs(new_bk)
         cb = other._resampled_coeffs(new_bk)
-        return PiecewisePoly(new_bk, ca + sign * cb)
-
-    def __add__(self, other):
-        return self._combine(_as_poly(other), 1.0)
-
-    def __sub__(self, other):
-        return self._combine(_as_poly(other), -1.0)
+        return PiecewisePoly(new_bk, ca - cb)
 
 
 class _OpenStep(PiecewisePoly):

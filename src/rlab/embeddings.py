@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import random_step_function
 from .norms import (_NODES, _U, SpaceSpec, _eps_sup, eps_grid, grand_lorentz_pq_norm,
                     grand_lorentz_slice_values, norm_value)
-from .quadrature import _integrate_batch
+from .quadrature import integrate_batch
 from .stepfn import (MeasureDensity, StepFunction, characteristic, make_step,
                      merge_segment_grids, step_to_json)
 from .weights import PowerWeight, Weight, _as_weight
@@ -42,7 +42,6 @@ __all__ = [
 
 _SLICE_TOL = 1e-10  # SliceDominationReport.tolerance of domination_slice_check
 _DOWN_TOL = 1e-10  # downward_check's stopping gap in log(value)
-_DOWN_FLOOR = 1e-14  # per-piece error accepted past k1 (W/V <= 1 there): 1e-10 relative may be past float reach
 
 
 @dataclass
@@ -159,7 +158,7 @@ def cross_weight_check(p: float, q: float, w: Weight, v: Weight) -> EmbeddingVer
 
 
 class _ExtendedWeight:
-    """Weight divided by its mass W(1), with density and primitive on
+    """Weight divided by its mass W(1), with primitive and on_pieces on
     (0, upper]; beyond t = 1 the density continues with its value at 1
     (constant extension).  Up to its first interior breakpoint the density
     is c0 * t^alpha.  A power weight becomes PowerWeight(alpha, alpha + 1)
@@ -184,14 +183,21 @@ class _ExtendedWeight:
             self.c0, self.alpha = float(values[0]), 0.0
             self.interior = w.density.breakpoints[1:-1]
 
-    def density(self, t: np.ndarray) -> np.ndarray:
-        ta = np.asarray(t, dtype=float)
-        return np.where(ta > 1.0, self.last, self.weight(np.minimum(ta, 1.0)))
+    def on_pieces(self, a: np.ndarray, b: np.ndarray):
+        """W and w on the knot pieces (a[j], b[j]) as a function of (s, j), s the
+        offset t - a[j]: W(a) + w s where w is constant (a step weight, or past
+        1), so a layer narrower than one ulp of a keeps its shape; a power
+        weight below 1 is evaluated at t = a + s."""
+        base, dens = self.primitive(a), np.where(b > 1.0, self.last, self.weight(0.5 * (a + b)))
+        bent = isinstance(self.weight, PowerWeight) & (b <= 1.0)
+        if not bent.any():
+            return lambda s, j: (base[j] + dens[j] * s, dens[j])
+        return lambda s, j: (np.where(bent[j], self.weight.primitive(a[j] + s), base[j] + dens[j] * s),
+                             np.where(bent[j], self.weight(a[j] + s), dens[j]))
 
     def primitive(self, t: np.ndarray) -> np.ndarray:
-        ta = np.asarray(t, dtype=float)
-        base = self.weight.primitive(np.minimum(ta, 1.0))
-        return np.where(ta > 1.0, self.w1 + self.last * (ta - 1.0), base)
+        base = self.weight.primitive(np.minimum(t, 1.0))
+        return np.where(t > 1.0, self.w1 + self.last * (t - 1.0), base)
 
 
 def downward_check(p: float, q: float, w: Weight, v: Weight,
@@ -210,7 +216,7 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     alpha_w, in closed form.  gamma is monotone in eps, so divergence (c_w >
     0, gamma <= -1) is decided at the ends before any quadrature: value inf,
     witness the smallest float eps with gamma <= -1.  Knot intervals past k1
-    (if any) go through one quadrature batch per round (1e-10 relative or 1e-14),
+    (if any) are integrated in t minus their left knot, one batch per round,
     W/V divided by its largest knot value.  norms._eps_sup runs from nodes 0,
     (q-1) eps_grid(1, 64) and q-1, splitting cells into 8 while their bound
     tops the best L by 1e-10.  H is convex in beta (Hoelder), beta monotone
@@ -258,6 +264,8 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
     if not math.isfinite(scale):
         raise OverflowError("the downward condition lies outside the float range")
     log_k1, log_scale, widest = math.log(knots[1]), math.log(scale), [0.0]
+    # W and V on the pieces past k1, in the offset from each piece's left knot
+    w_at, v_at = ew.on_pieces(knots[1:-1], knots[2:]), ev.on_pieces(knots[1:-1], knots[2:])
 
     def run(eps):  # L and N at the nodes eps, every piece past k1 in one batch
         beta = (r - eps) / (p - eps)
@@ -272,9 +280,13 @@ def downward_check(p: float, q: float, w: Weight, v: Weight,
             cond = (kappa * np.abs(beta * da) + g1) * (1.0 / g1 + abs(log_k1))
         if pieces:
             powers = np.repeat(beta, pieces)
-            res = _integrate_batch(
-                lambda t, k: (ew.primitive(t) / ev.primitive(t) / scale) ** powers[k] * ew.density(t),
-                np.tile(knots[1:-1], eps.size), np.tile(knots[2:], eps.size), _DOWN_FLOOR)
+
+            def integrand(s, k):  # problem k is piece k % pieces at node k // pieces
+                j = k % pieces
+                (wt, dw), (vt, _) = w_at(s, j), v_at(s, j)
+                return (wt / vt / scale) ** powers[k] * dw
+
+            res = integrate_batch(integrand, np.zeros(powers.size), np.tile(np.diff(knots[1:]), eps.size))
             total, err = (x.reshape(eps.size, pieces).sum(axis=1) for x in (res.value, res.error_estimate))
             with np.errstate(divide="ignore", invalid="ignore"):  # W = 0 past k1
                 rest = np.log(total)

@@ -88,12 +88,10 @@ __all__ = [
     "space_norm",
     "norm_value",
     "spacespec_from_json",
-    "INF",
 ]
 
 DEFAULT_GRID = 2048
 GRID_DELTA = 1e-6
-INF = math.inf
 
 # float64 values per eps-slice temporary (512 KiB), not analysis's 2**14: a
 # block this size raises glibc's adaptive heap-trim threshold when freed; at

@@ -3,9 +3,9 @@
 A 7-point Gauss rule embedded in a 15-point Kronrod rule gives a per-interval
 error estimate; intervals whose estimate exceeds their share of the budget
 are bisected until the total estimate is at most _REL_TOL times the
-integral.  The integrand is always evaluated on batched node arrays, so
-vector-aware callables stay fast.  integrate_batch runs many independent
-problems through one such loop, each to its own budget.
+integral, whatever its scale: there is no absolute floor.  integrate_batch,
+the one entry point, runs many independent problems through one such loop,
+each to its own budget, on batched node arrays (vector-aware callables).
 """
 from __future__ import annotations
 
@@ -102,11 +102,6 @@ def integrate_batch(fn, a, b) -> QuadratureResult:
     index (exc.index), once every problem below it has converged.  Returns
     a QuadratureResult of arrays.
     """
-    return _integrate_batch(fn, a, b, 0.0)
-
-
-def _integrate_batch(fn, a, b, floor: float) -> QuadratureResult:
-    """integrate_batch, each problem also accepted at error <= floor."""
     a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape or not np.all(b > a):
         raise ValueError("need b > a, one upper limit per lower limit")
@@ -128,7 +123,7 @@ def _integrate_batch(fn, a, b, floor: float) -> QuadratureResult:
         while True:
             count = np.bincount(own, minlength=n)
             total, err_total = np.bincount(own, vals, n), np.bincount(own, errs, n)
-            budget = np.maximum(_REL_TOL * np.abs(total), floor)
+            budget = _REL_TOL * np.abs(total)
             live = count > 0
             bad = live & ~(np.isfinite(total) & np.isfinite(err_total))
             done = live & ~bad & (err_total <= budget)

@@ -448,7 +448,7 @@ def test_downward_integrates_nothing_with_no_piece_past_k1(monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature called with no knot interval past k1")
 
-    monkeypatch.setattr(embeddings, "_integrate_batch", no_quadrature)
+    monkeypatch.setattr(embeddings, "integrate_batch", no_quadrature)
     out = downward_check(3.0, 1.5, PowerWeight(0.5), PowerWeight(1.0))
     # r = 3, so beta = 1 and the integrand is (W/V) w = (4/3) t^(-1/2) t^(1/2) = 4/3 at
     # every eps; (4/3)^(1/(3-eps)) is largest at eps = q - 1
@@ -549,14 +549,16 @@ def test_downward_with_a_subnormal_target_primitive():
             downward_check(3.0, 2.0, ONE, v, upper=upper, grid_size=8)
 
 
-def _mp_step_over_step(p, q, w, v, eps):
-    """(int_0^1 (W/V)^beta w dt)^(1/(r-eps)) for step densities w and v, in
-    mpmath.  W and V are linear on each knot interval; its left end is split
-    geometrically down to 1e-40 of its length, so a layer far narrower than
-    a float's resolution in t is resolved."""
+def _mp_step_over_step(p, q, w, v, eps, upper=1.0):
+    """(int_0^upper (W/V)^beta w dt)^(1/(r-eps)) for step densities w and v,
+    extended past 1 by their last value, in mpmath.  W and V are linear on
+    each knot interval; its left end is split geometrically down to 1e-40 of
+    its length, so a layer far narrower than a float's resolution in t is
+    resolved."""
     r = mpmath.mpf(p) * q / (p - q)
     beta = (r - eps) / (p - eps)
-    knots = sorted(set(map(mpmath.mpf, np.concatenate((w.breakpoints, v.breakpoints)))))
+    knots = sorted(set(map(mpmath.mpf, np.concatenate((w.breakpoints, v.breakpoints, [upper])))))
+    knots = [t for t in knots if t <= upper]
 
     def at(g, t):  # density and primitive of a step function at t
         bk, vals = list(map(mpmath.mpf, g.breakpoints)), list(map(mpmath.mpf, g.values))
@@ -568,15 +570,19 @@ def _mp_step_over_step(p, q, w, v, eps):
     for a, b in zip(knots[1:-1], knots[2:]):
         (wd, wa), (vd, va) = at(w, a), at(v, a)
         splits = [0] + [(b - a) * mpmath.mpf(10) ** -k for k in range(40, 0, -2)] + [b - a]
-        total += mpmath.quad(lambda s: ((wa + wd * s) / (va + vd * s)) ** beta * wd, splits)
+        # W/V is monotone on the piece: scaled by its larger end value, the
+        # integrand is at most wd, so quad's absolute tolerance is a relative one
+        top = max(wa / va, (wa + wd * (b - a)) / (va + vd * (b - a))) ** beta or 1
+        total += top * mpmath.quad(lambda s: ((wa + wd * s) / (va + vd * s)) ** beta / top * wd, splits)
     return total ** (1 / (r - eps))
 
 
 def test_downward_with_a_density_jump_below_float_resolution(deadline):
     # V jumps by ~1e15 at t = 0.75, so past it W/V falls from its peak within
-    # about one ulp of t: that piece is negligible in the sum, but no float
-    # bisection reaches 1e-10 relative on it: a relative budget alone ran
-    # through its 4,096 intervals and raised QuadratureError
+    # about one ulp of t.  In t no float bisection resolves that layer to
+    # 1e-10 relative (it ran through 4,096 intervals and raised
+    # QuadratureError); in the offset s = t - 0.75 W and V are affine, and the
+    # layer is as wide as it is in the reals
     w = make_step([0.0, 0.35, 0.5, 0.85, 1.0], [64.0, 4700.0, 1.3e-3, 2.4])
     v = make_step([0.0, 0.75, 0.9, 1.0], [1e-7, 5e8, 1e-10])
     with deadline(20):
@@ -584,6 +590,25 @@ def test_downward_with_a_density_jump_below_float_resolution(deadline):
     with mpmath.workdps(30):
         at = _mp_step_over_step(5.0, 2.5, w, v, mpmath.mpf(_witness_eps(out)))
     _assert_certified(out, float(at), float(at), 1e-12)
+
+
+@pytest.mark.parametrize("p, q, w, v, upper", [
+    (3.1138, 2.1685, make_step([0.0, 0.08126, 0.1307, 0.9064, 1.0], [2.426e-5, 1.343e-4, 4.528e6, 250.3]),
+     make_step([0.0, 0.1871, 1.0], [0.04969, 4.769e7]), 1.0),
+    (2.553, 2.2004, make_step([0.0, 0.5026, 1.0], [2.383e7, 8.570e7]),
+     make_step([0.0, 0.2804, 0.3168, 0.9391, 1.0], [1.202, 8.517e-9, 8.274e-10, 6.434e9]), 2.008),
+])
+def test_downward_bracket_holds_layers_past_density_jumps(deadline, p, q, w, v, upper):
+    # V's density jumps by 1e9 at 0.1871 and by 1e19 at 0.9391: past each,
+    # W/V falls within a layer far narrower than its piece (~5e-11 wide at
+    # 0.9391); a piece accepted on one panel misses that layer and puts the
+    # whole bracket below the value
+    with deadline(20):
+        out = downward_check(p, q, w, v, upper=upper)
+    with mpmath.workdps(30):
+        at = float(_mp_step_over_step(p, q, w, v, mpmath.mpf(_witness_eps(out)), upper))
+    _assert_certified(out, at, at, 1e-12)
+    assert at <= out.upper
 
 
 def _downward_loop(p, q, w, v, upper, eps):
@@ -654,7 +679,7 @@ def test_downward_propagates_finite_quadrature_failure(monkeypatch):
     def exhausted(*args, **kwargs):
         raise QuadratureError("interval budget exhausted", 0.5, 1e-3, 1e-10)
 
-    monkeypatch.setattr(embeddings, "_integrate_batch", exhausted)
+    monkeypatch.setattr(embeddings, "integrate_batch", exhausted)
     with pytest.raises(QuadratureError):
         downward_check(3.0, 2.0, ONE, ONE, upper=2.0)
 
