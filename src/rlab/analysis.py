@@ -9,13 +9,13 @@ interval [x - r, x + r] with r = |x - b| has the breakpoint b itself as
 one end, so its average is |F(b) - F(2x - b)| / (2r) with F the primitive
 of |f|: one interpolation per (point, breakpoint) pair.
 
-The pairwise operators (the maximal operator, and convolution_values for
-the triangle and the bump) walk their evaluation points in blocks of
-max(1, _BLOCK // len(breakpoints)) points; step-kernel convolutions, which
-touch O(knots) segments per point, in blocks of _BLOCK // (2 * knots).  So
-no temporary holds more than _BLOCK = 2**14 float64 values (128 KiB)
-unless a single point already needs more, and memory does not grow with
-points x breakpoints.  The budget stays at glibc's default mmap threshold:
+The pairwise operators (the maximal operator, which past _DENSE pairs
+prunes its radii, and the triangle's and bump's convolution_values) walk
+their points in blocks of max(1, _BLOCK // len(breakpoints)) points;
+step-kernel convolutions, which touch O(knots) segments per point, in
+blocks of _BLOCK // (2 * knots).  So no temporary holds more than _BLOCK
+= 2**14 float64 values (128 KiB) unless a single point already needs
+more, and memory does not grow with points x breakpoints.  The budget stays at glibc's default mmap threshold:
 larger temporaries are served from freshly mapped pages that fault on
 every call, which made a 512 KiB budget slower per call than this one.
 
@@ -70,6 +70,8 @@ _KERNEL_KINDS = ("box", "triangle", "smooth_bump", "custom_step")
 _BUMP_PANELS = 8192  # cumulative Simpson panels for the bump's tables
 _BUMP_SAMPLES = 2048  # sampling cells for bump convolutions
 _BLOCK = 2**14  # float64 values per temporary in the pairwise operators (128 KiB)
+_RUN, _CHUNK, _DENSE = 32, 4, 2**17  # MaximalFunction's block, chunk and dense sizes
+_PAD, _TINY = 2.0**-48, 2.0**-1060  # relative and absolute pads of its radius bounds
 _CELL_PANELS = 4  # Simpson panels per cell in MaximalFunction.cell_average_step
 _DOMINATION_TOL = 1e-9  # DominationReport.tolerance of domination_check
 
@@ -320,23 +322,31 @@ class MaximalFunction:
     the outermost candidate |x - b| give averages total/(2r), strictly
     decreasing, so restricting the sup to r <= 2 loses nothing on (0, 1).
 
-    Each candidate radius r = |x - b_j| puts the breakpoint b_j at one end
-    of [x - r, x + r], so the average there is |cum[j] - F(2x - b_j)| / (2r)
-    and costs one np.interp.  Points are taken in blocks laid out as
-    breakpoints x points (each row of queries ascends for sorted x), with at
-    most 2**14 float64 values (128 KiB) per temporary: larger blocks come
-    from freshly mapped pages on every call and were measured slower.
+    Each candidate radius r = |x - b_j| puts b_j at one end of [x - r, x + r],
+    so the average there is |cum[j] - F(2x - b_j)| / (2r): one np.interp.
+    Past _DENSE pairs, sorted points go in blocks X = [xa, xb] of _RUN and
+    breakpoints in chunks J = b_j0..b_j1 of _CHUNK.  For J left of X the
+    windows [b_j, 2x - b_j] lie in [b_j0, 2xb - b_j0], hold [b_j1, 2xa - b_j1]
+    and have radii in [xa - b_j1, xb - b_j0] (mirrored on the right), which
+    bounds the pair's averages.  Pairs that meet are evaluated.  The rest
+    are dropped where the upper bound is under the least value found at X
+    (r -> 0 included) or the largest lower bound there, then split into
+    single breakpoints, dropped alike, and evaluated.
+
+    The max is the same float as with every pair evaluated.  With
+    u = 2**-53, np.interp is within 6.1u F + 2**-1073 of the exact
+    interpolant F of the stored cum, which is nondecreasing; rounding is
+    monotone.  So a computed |cum[j] - F(2x - b_j)| is within 14u hi +
+    2**-1071 of [F(2xa - b_j1) - cum[j1], hi - cum[j0]], hi = F(2xb - b_j0),
+    and 2|x - b_j| rounds into [2fl(xa - b_j1), 2fl(xb - b_j0)].  The pads
+    _PAD = 32u hi and _TINY = 2**-1060 outweigh that and the bounds' own
+    3.1u hi; division rounds monotonically.  Pruning needs finite slopes
+    and cum[-1] <= 2**1000, so that nothing overflows.
     """
 
     def __init__(self, f: StepFunction):
         self.source = f
         self._abs = _OpenStep(f.breakpoints, np.abs(f.values)[:, None])
-
-    def _sided_values(self, x: np.ndarray):
-        bk, av = self._abs.breakpoints, self._abs.coeffs[:, 0]
-        il = np.clip(np.searchsorted(bk, x, side="left") - 1, 0, len(av) - 1)
-        left = np.where((x <= 0.0) | (x > 1.0), 0.0, av[il])
-        return left, self._abs._eval(x)
 
     def __call__(self, x):
         xa = np.asarray(x, dtype=float)
@@ -344,25 +354,64 @@ class MaximalFunction:
             raise ValueError(f"points must be a scalar or a 1-d array, got shape {xa.shape}")
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa).astype(float)
-        bk, cum = self._abs.breakpoints[:, None], self._abs._cum[:, None]
-        best = np.empty(len(xa))
-        for blk in _point_blocks(len(xa), len(bk)):
-            xb = xa[None, blk]
-            width = 2.0 * xb - bk
-            far = self._abs.primitive(width)
-            # in place, so a block makes two temporaries (see the module
-            # docstring).  Where the width is 0, x = b_j and far = cum[j]
-            # exactly, so the average left undivided there is 0
-            np.subtract(xb, bk, out=width)
-            np.abs(width, out=width)
-            width *= 2.0
-            np.subtract(cum, far, out=far)
-            np.abs(far, out=far)
-            np.divide(far, width, out=far, where=width > 0.0)
-            best[blk] = far.max(axis=0)
-        left, right = self._sided_values(xa)
-        out = np.maximum(best, 0.5 * (left + right))
+        order = np.argsort(xa, kind="stable")
+        xs, bk, av = xa[order], self._abs.breakpoints, self._abs.coeffs[:, 0]
+        il = np.clip(np.searchsorted(bk, xs, side="left") - 1, 0, len(av) - 1)
+        left = np.where((xs <= 0.0) | (xs > 1.0), 0.0, av[il])  # right: _eval(xs)
+        out = np.empty(len(xa))
+        out[order] = self._radius_max(xs, 0.5 * (left + self._abs._eval(xs)))
         return float(out[0]) if scalar else out
+
+    def _averages(self, x, b, c):
+        """|c - F(2x - b)| / (2|x - b|), c = F(b), in place; 0 where x = b."""
+        width = 2.0 * x - b
+        far = self._abs.primitive(width)
+        np.subtract(x, b, out=width)
+        np.abs(width, out=width)
+        width *= 2.0
+        np.subtract(c, far, out=far)
+        np.abs(far, out=far)
+        return np.divide(far, width, out=far, where=width > 0.0)
+
+    def _radius_max(self, xs: np.ndarray, floor: np.ndarray) -> np.ndarray:
+        """floor raised to every candidate average at the ascending xs."""
+        bk, cum = self._abs.breakpoints, self._abs._cum
+        with np.errstate(all="ignore"):  # the slopes as np.interp forms them
+            slopes = np.diff(cum) / np.diff(bk)
+        if len(xs) * len(bk) <= _DENSE or cum[-1] > 2.0**1000 or not np.all(np.isfinite(slopes)):
+            for blk in _point_blocks(len(xs), len(bk)):
+                peak = self._averages(xs[None, blk], bk[:, None], cum[:, None]).max(axis=0)
+                floor[blk] = np.maximum(floor[blk], peak)
+            return floor
+        run = min(_RUN, len(xs))
+        pts, best = (np.append(a, np.repeat(a[-1], -len(a) % run)).reshape(-1, run)
+                     for a in (xs, floor))  # padded with repeated candidates
+        bp, cp = (np.append(a, np.repeat(a[-1], -len(a) % _CHUNK)) for a in (bk, cum))
+
+        def evaluate(blk, j):  # (point block, breakpoint) pairs, blk ascending
+            for s in range(0, len(blk), _BLOCK // run):
+                rows, cols = blk[s:s + _BLOCK // run], j[s:s + _BLOCK // run]
+                first = np.flatnonzero(np.diff(rows, prepend=-1))
+                avg = self._averages(pts[rows], bp[cols, None], cp[cols, None])
+                best[rows[first]] = np.maximum(best[rows[first]], np.maximum.reduceat(avg, first))
+
+        ends = bp[::_CHUNK], bp[_CHUNK - 1::_CHUNK], cp[::_CHUNK], cp[_CHUNK - 1::_CHUNK]
+        group = max(1, _BLOCK // len(bp))  # point blocks per bound array
+        for g in range(0, len(pts), group):
+            xa, xb = pts[g:g + group, :1], pts[g:g + group, -1:]
+            apart = (ends[1] < xa) | (ends[0] > xb)
+            blk, chk = np.nonzero(~apart)
+            evaluate(np.repeat(blk + g, _CHUNK), (chk[:, None] * _CHUNK + np.arange(_CHUNK)).ravel())
+            with np.errstate(all="ignore"):  # the pairs that meet are not read
+                upper, lower = _radius_bounds(bk, cum, xa, xb, *ends)
+                low = np.maximum(best[g:g + group].min(axis=1), lower.max(axis=1, where=apart, initial=0.0))
+                blk, chk = np.nonzero(apart & ~(upper < low[:, None]))
+                blk, j = np.repeat(blk, _CHUNK), (chk[:, None] * _CHUNK + np.arange(_CHUNK)).ravel()
+                upper, lower = _radius_bounds(bk, cum, xa[blk, 0], xb[blk, 0], bp[j], bp[j], cp[j], cp[j])
+                np.maximum.at(low, blk, lower)
+            keep = ~(upper < low[blk])
+            evaluate(blk[keep] + g, j[keep])
+        return best.ravel()[:len(xs)]
 
     def sample(self, n: int):
         """Midpoint sampling on an n-cell uniform grid over (0, 1)."""
@@ -386,6 +435,17 @@ class MaximalFunction:
         w[2:-1:2] = 2.0
         avgs = (vals @ w) / (3.0 * m)
         return make_step(edges, avgs)
+
+
+def _radius_bounds(bk, cum, xa, xb, b0, b1, c0, c1):
+    """Bounds on MaximalFunction's averages of b0..b1 (cum c0..c1) at xa..xb, apart."""
+    left = b1 < xa
+    fa, fb = np.interp(2.0 * xa - b1, bk, cum), np.interp(2.0 * xb - b0, bk, cum)
+    hi, lo = np.where(left, fb, c1), np.where(left, c0, fa)
+    upper = ((hi - lo) + _PAD * hi + _TINY) / (2.0 * np.where(left, xa - b1, b0 - xb))
+    hi, lo = np.where(left, fa, c0), np.where(left, c1, fb)
+    lower = ((hi - lo) - _PAD * hi - _TINY) / (2.0 * np.where(left, xb - b0, b1 - xa))
+    return upper, lower
 
 
 def maximal(f: StepFunction) -> MaximalFunction:

@@ -174,7 +174,7 @@ def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
     mask = (values > 0) & (base > 0)
     v, b = values[mask], base[mask]
     vmax = v.max() if v.size else 1.0
-    logr = np.log(v / vmax)
+    logr = np.log(v) - np.log(vmax)  # not log(v / vmax), which underflows past 1e-308
     step = max(1, _BLOCK // max(logr.size, 1))
 
     def block(expo):
@@ -261,7 +261,7 @@ def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float) -> EpsSupResul
     # l lies in [min(0, log e0 + g0), top_l], G in [g0, g_lim], log eps in [log e0, log limit]
     top_l = max(best, closed)
     c = (top + 1) * (abs(math.log(e0)) + abs(g0) + abs(g_lim) + abs(top_l) + abs(math.log(limit)))
-    spread = math.log(vmax / levels[keep].min())
+    spread = math.log(vmax) - math.log(levels[keep].min())  # the ratio may overflow
     delta = _U * (math.log2(keep.sum()) + 3 * top * spread + 8 * (c + top + 6))
     return EpsSupResult(best_v, best_e, "upper" if best_e == limit else None,
                         max(best_v, vmax * math.exp(top_l + delta)), evals)

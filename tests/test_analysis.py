@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import unittest.mock
 import warnings
 from fractions import Fraction
 
@@ -670,6 +671,25 @@ def _dense_maximal(f, x):
     return np.maximum(best, 0.5 * (left + right))
 
 
+def _reference_maximal(f, x):
+    """Every (point, breakpoint) pair in one array, as the unpruned operator
+    evaluated it: one interpolation per pair, |cum[j] - F(2x - b_j)| over
+    2|x - b_j| in the same order of operations, 0 where x = b_j, and the
+    r -> 0 limit.  The pruned operator must give the same floats."""
+    bk, av = f.breakpoints, np.abs(f.values)
+    cum = np.concatenate(([0.0], np.cumsum(av * np.diff(bk))))
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):
+        far = np.abs(cum[:, None] - np.interp(2.0 * xa[None, :] - bk[:, None], bk, cum))
+        width = 2.0 * np.abs(xa[None, :] - bk[:, None])
+        best = np.where(width > 0.0, far / width, far).max(axis=0)
+    ir = np.clip(np.searchsorted(bk, xa, side="right") - 1, 0, len(av) - 1)
+    right = np.where((xa < 0.0) | (xa >= 1.0), 0.0, av[ir])
+    il = np.clip(np.searchsorted(bk, xa, side="left") - 1, 0, len(av) - 1)
+    left = np.where((xa <= 0.0) | (xa > 1.0), 0.0, av[il])
+    return np.maximum(best, 0.5 * (left + right))
+
+
 def _dense_convolution(phi_t, f, x):
     cdfs = phi_t.cdf(np.asarray(x, dtype=float)[:, None] - f.breakpoints[None, :])
     return (cdfs[:, :-1] - cdfs[:, 1:]) @ f.values
@@ -695,11 +715,16 @@ def _points_per_block(f):
 def test_blocked_maximal_matches_dense_formula():
     rng = np.random.default_rng(61)
     f = _signed_fn(rng, 99)
-    x = _eval_points(rng, f, 997)
-    assert 1 < _points_per_block(f) < len(x)
-    assert len(x) % _points_per_block(f) != 0
-    want = _dense_maximal(f, x)
-    assert np.all(np.abs(maximal(f)(x) - want) <= 1e-13 * want)
+    # every pair evaluated in blocks, then past _DENSE pairs the pruned search
+    for n_random in (997, 4 * analysis._DENSE // 100):
+        x = _eval_points(rng, f, n_random)
+        assert (len(x) * len(f.breakpoints) > analysis._DENSE) == (n_random > 997)
+        assert 1 < _points_per_block(f) < len(x)
+        assert len(x) % _points_per_block(f) != 0
+        got = maximal(f)(x)
+        assert np.array_equal(got, _reference_maximal(f, x))
+        want = _dense_maximal(f, x)  # both ends interpolated: equal up to rounding
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 def test_blocked_maximal_matches_brute_oracle():
@@ -713,6 +738,7 @@ def test_blocked_maximal_matches_brute_oracle():
         brute[i] = brute_maximal(f.breakpoints, f.values, xi, radii[radii > 0])[0]
     got = maximal(f)(x)
     assert np.all(np.abs(got - brute) <= 1e-12 * brute)
+    assert np.array_equal(got, _reference_maximal(f, x))
 
 
 def test_blocked_maximal_one_point_per_block():
@@ -721,24 +747,96 @@ def test_blocked_maximal_one_point_per_block():
     assert _points_per_block(f) == 1
     x = _eval_points(rng, f, 20)
     M = maximal(f)
-    want = _dense_maximal(f, x)
-    assert np.all(np.abs(M(x) - want) <= 1e-13 * want)
+    want = _reference_maximal(f, x)
+    assert len(x) * len(f.breakpoints) > analysis._DENSE  # the pruned search
+    assert np.array_equal(M(x), want)
     for i in (0, 25):  # a random point and a breakpoint, as scalars
         scalar = M(float(x[i]))
         assert isinstance(scalar, float)
-        assert abs(scalar - want[i]) <= 1e-13 * want[i]
+        assert scalar == want[i]
 
 
 def test_blocked_cell_average_step_matches_dense_formula():
     rng = np.random.default_rng(73)
     f = _signed_fn(rng, 30)
-    step = maximal(f).cell_average_step(300)
-    edges = np.linspace(0.0, 1.0, 301)
-    pts = edges[:-1, None] + (1.0 / 300) * np.linspace(0.0, 1.0, 9)[None, :]
-    vals = _dense_maximal(f, pts.ravel()).reshape(300, 9)
-    w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0])
-    want = (vals @ w) / 24.0
-    assert np.all(np.abs(step(0.5 * (edges[:-1] + edges[1:])) - want) <= 1e-13 * want)
+    for n in (300, 1000):  # 2,700 points x 31 breakpoints: every pair; 9,000: pruned
+        step = maximal(f).cell_average_step(n)
+        edges = np.linspace(0.0, 1.0, n + 1)
+        pts = edges[:-1, None] + (1.0 / n) * np.linspace(0.0, 1.0, 9)[None, :]
+        vals = _reference_maximal(f, pts.ravel()).reshape(n, 9)
+        w = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0])
+        want = (vals @ w) / 24.0
+        assert np.array_equal(step(0.5 * (edges[:-1] + edges[1:])), want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(knots=st.lists(st.floats(5e-324, 1.0, exclude_max=True), min_size=0, max_size=12),
+       ulps=st.lists(st.integers(0, 12), max_size=3),
+       levels=st.lists(st.tuples(st.floats(-300.0, 300.0), st.booleans()),
+                       min_size=24, max_size=24),
+       picks=st.lists(st.one_of(st.integers(0, 40), st.floats(-0.5, 1.5),
+                                st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300, math.nan,
+                                                 math.inf, -math.inf])), max_size=40),
+       cluster=st.tuples(st.floats(-0.2, 1.2), st.floats(0.0, 1e-2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_pruned_maximal_is_bit_identical_to_every_pair(knots, ulps, levels, picks, cluster,
+                                                       seed):
+    # breakpoints anywhere in (0, 1), subnormal ones included, and runs of
+    # segments a few ulps wide; levels 10^U(-300, 300) of either sign
+    bk = np.unique(np.concatenate(([0.0, 1.0], knots)))
+    for i in ulps:  # a run of 3 segments one ulp wide after breakpoint i
+        b = bk[min(i, len(bk) - 2)]
+        bk = np.unique(np.concatenate((bk, b + np.arange(1, 4) * np.spacing(b))))
+    bk = bk[bk <= 1.0]
+    vals = [(-1.0 if neg else 1.0) * 10.0**e for e, neg in levels[:len(bk) - 1]]
+    f = make_step(bk, vals)
+    # points on breakpoints (ints pick one), in and outside (0, 1), the ends,
+    # far away and non-finite, duplicated and unsorted, and a cluster of 96
+    # points, whose blocks lie apart from most chunks of breakpoints
+    x = np.array([bk[p % len(bk)] if isinstance(p, int) else p for p in picks]
+                 + [cluster[0] + cluster[1] * k for k in range(96)], dtype=float)
+    x = np.random.default_rng(seed).permutation(np.concatenate((x, x[::3])))
+    want = _reference_maximal(f, x)
+    assert np.array_equal(np.isnan(want), np.isnan(x))  # nan -> nan
+    assert np.all(want[np.isinf(x)] == 0.0)  # +-inf -> 0
+    M = maximal(f)
+    for limit in (0, analysis._DENSE):  # every call pruned, then the default
+        with unittest.mock.patch.object(analysis, "_DENSE", limit):
+            assert np.array_equal(M(x), want, equal_nan=True)
+            if len(x):
+                scalar = M(x[0])
+                assert isinstance(scalar, float)
+                assert np.array_equal(scalar, want[0], equal_nan=True)
+            assert M(np.array([])).shape == (0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knots=st.lists(st.floats(5e-324, 1.0, exclude_max=True), min_size=1, max_size=20),
+       log_levels=st.lists(st.floats(-300.0, 299.0), min_size=21, max_size=21),
+       chunk=st.tuples(st.integers(0, 20), st.integers(0, 7)),
+       right=st.booleans(), span=st.floats(0.0, 2.0),
+       offsets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32))
+def test_radius_bounds_hold_for_every_computed_average(knots, log_levels, chunk, right, span,
+                                                       offsets):
+    # a block of points xa..xb apart from a chunk of breakpoints b0..b1, from
+    # one ulp off its end to 2 away: every average the operator computes for
+    # them lies between the bounds (in the range where it prunes)
+    bk = np.unique(np.concatenate(([0.0, 1.0], knots)))
+    f = make_step(bk, 10.0 ** np.array(log_levels[:len(bk) - 1]))
+    bk = f.breakpoints  # equal neighbours merged
+    cum = np.concatenate(([0.0], np.cumsum(f.values * np.diff(bk))))
+    with np.errstate(all="ignore"):
+        assert cum[-1] <= 2.0**1000 and np.all(np.isfinite(np.diff(cum) / np.diff(bk)))
+    j0 = chunk[0] % len(bk)
+    j1 = min(j0 + chunk[1], len(bk) - 1)
+    end = np.nextafter(bk[j0], -np.inf) if right else np.nextafter(bk[j1], np.inf)
+    x = np.sort(end + (-span if right else span) * np.array(offsets))
+    b, c = bk[j0:j1 + 1, None], cum[j0:j1 + 1, None]
+    with np.errstate(all="ignore"):
+        avg = np.abs(c - np.interp(2.0 * x - b, bk, cum)) / (2.0 * np.abs(x - b))
+        upper, lower = analysis._radius_bounds(bk, cum, x[0], x[-1], bk[j0], bk[j1],
+                                               cum[j0], cum[j1])
+    assert lower <= avg.min() and avg.max() <= upper
 
 
 @pytest.mark.parametrize("n", [99, analysis._BLOCK + 9], ids=["many", "one"])

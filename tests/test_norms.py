@@ -633,3 +633,28 @@ def test_exact_norms_are_homogeneous(log_levels, widths, log_c, p, q):
     assert lorentz_pq_norm(g, p, q) == pytest.approx(c * lorentz_pq_norm(f, p, q), rel=1e-12, abs=0.0)
     w = PowerWeight(0.5)
     assert lambda_norm(g, p, w) == pytest.approx(c * lambda_norm(f, p, w), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec("grand_lebesgue", 3.0),
+                                  SpaceSpec("grand_lorentz_pq", 2.0, 3.0),
+                                  SpaceSpec("lambda_grand", 3.0, weight=PowerWeight(0.5))],
+                         ids=["grand_lebesgue", "grand_lorentz_pq", "lambda_grand"])
+def test_grand_bracket_of_levels_spanning_past_the_float_range(spec):
+    # vmax / vmin = 1e600 overflows and vmin / vmax underflows: the slice's
+    # log-ratios and the bracket's spread are formed as differences of logs
+    f = make_step([0.0, 0.3, 0.6, 1.0], [1e300, 1e-300, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = space_norm(f, spec)
+    assert math.isfinite(res.upper)
+    assert res.value <= res.upper <= res.value * (1.0 + 1e-11)
+    if spec.kind == "grand_lebesgue":
+        # the sup over eps of (eps * int |f|^(3-eps))^(1/(3-eps)), at 40 digits
+        with mpmath.workdps(40):
+            def log_slice(e):
+                s = 3 - e
+                mass = sum(mpmath.mpf(w) * mpmath.mpf(v) ** s
+                           for w, v in (("0.3", "1e300"), ("0.3", "1e-300"), ("0.4", 2)))
+                return mpmath.log(e * mass) / s
+            sup = mpmath.exp(log_slice(mpmath.findroot(lambda e: mpmath.diff(log_slice, e), 1.0)))
+        assert res.value <= float(sup) * (1.0 + 1e-15) and float(sup) <= res.upper
