@@ -10,24 +10,26 @@ one end, so its average is |F(b) - F(2x - b)| / (2r) with F the primitive
 of |f|: one interpolation per (point, breakpoint) pair.
 
 The pairwise operators (the maximal operator, which past _DENSE pairs
-prunes its radii, and the triangle's and bump's convolution_values) walk
-their points in blocks of max(1, _BLOCK // len(breakpoints)) points;
-step-kernel convolutions, which touch O(knots) segments per point, in
-blocks of _BLOCK // (2 * knots).  So no temporary holds more than _BLOCK
-= 2**14 float64 values (128 KiB) unless a single point already needs
-more, and memory does not grow with points x breakpoints.  The budget stays at glibc's default mmap threshold:
-larger temporaries are served from freshly mapped pages that fault on
-every call, which made a 512 KiB budget slower per call than this one.
+prunes its radii, and the bump's convolution_values) walk their points in
+blocks of max(1, _BLOCK // len(breakpoints)) points; step kernels, which
+touch O(knots) segments per point, in blocks of _BLOCK // (2 * knots), the
+triangle in blocks of _BLOCK.  So no temporary holds more than _BLOCK =
+2**14 float64 values (128 KiB) unless a single point already needs more,
+and memory does not grow with points x breakpoints.  The budget stays at
+glibc's default mmap threshold: larger temporaries are served from freshly
+mapped pages that fault on every call, which made a 512 KiB budget slower
+per call than this one.
 
 Mollifier kernels phi are scaled as phi_t(x) = phi(x/t)/t, which is again
 a kernel of the same kind (Kernel.scaled).  Convolutions phi_t * f are
 assembled from the kernel's exact antiderivative K.  For step kernels only
 the segments that hold an image of a kernel knot need K; the segments
 between two images lie under one kernel piece and add up through f's
-compensated prefix masses, so a point costs O(knots * log n), not O(n)
-(convolution_values states the error bound).  The result is piecewise
-linear for step kernels, piecewise quadratic for the triangle kernel, and
-a piecewise-linear interpolant on a uniform grid of _BUMP_SAMPLES = 2048
+compensated prefix masses, so a point costs O(knots * log n), not O(n);
+the triangle, a box window over box * f, costs O(log n) (convolution_values
+states the error bounds).  The result is piecewise linear for step
+kernels, piecewise quadratic for the triangle kernel, and a
+piecewise-linear interpolant on a uniform grid of _BUMP_SAMPLES = 2048
 cells for the smooth bump (whose own normalization constant is computed
 by quadrature once per process, never hard-coded).
 """
@@ -41,7 +43,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .norms import SpaceSpec, norm_value
-from .stepfn import StepFunction, _canonical, _Piecewise, make_step
+from .stepfn import StepFunction, _canonical, _Piecewise, _prefix_error, make_step
 
 __all__ = [
     "Kernel",
@@ -69,7 +71,7 @@ __all__ = [
 _KERNEL_KINDS = ("box", "triangle", "smooth_bump", "custom_step")
 _BUMP_PANELS = 8192  # cumulative Simpson panels for the bump's tables
 _BUMP_SAMPLES = 2048  # sampling cells for bump convolutions
-_BLOCK = 2**14  # float64 values per temporary in the pairwise operators (128 KiB)
+_BLOCK = 2**14  # float64 values per temporary in the blocked operators (128 KiB)
 _RUN, _CHUNK, _DENSE = 32, 4, 2**17  # MaximalFunction's block, chunk and dense sizes
 _PAD, _TINY = 2.0**-48, 2.0**-1060  # relative and absolute pads of its radius bounds
 _CELL_PANELS = 4  # Simpson panels per cell in MaximalFunction.cell_average_step
@@ -141,8 +143,8 @@ class Kernel:
     # -- cached geometry -------------------------------------------------
 
     @cached_property
-    def _step(self) -> "_OpenStep":
-        return _OpenStep(np.asarray(self.breakpoints, dtype=float),
+    def _step(self) -> "_OpenPoly":
+        return _OpenPoly(np.asarray(self.breakpoints, dtype=float),
                          np.asarray(self.values, dtype=float)[:, None])
 
     @property
@@ -346,7 +348,7 @@ class MaximalFunction:
 
     def __init__(self, f: StepFunction):
         self.source = f
-        self._abs = _OpenStep(f.breakpoints, np.abs(f.values)[:, None])
+        self._abs = _OpenPoly(f.breakpoints, np.abs(f.values)[:, None])
 
     def __call__(self, x):
         xa = np.asarray(x, dtype=float)
@@ -459,8 +461,8 @@ def maximal(f: StepFunction) -> MaximalFunction:
 def convolution_values(phi_t: Kernel, f: StepFunction, x) -> np.ndarray:
     """(phi_t * f)(x) = sum_k v_k [K(x - b_k) - K(x - b_{k+1})], K the
     kernel's antiderivative: exact up to rounding for box, triangle and
-    custom step kernels, table-backed for the smooth bump.  The triangle
-    and the bump evaluate K at every (point, breakpoint) pair.
+    custom step kernels, table-backed for the smooth bump.  The bump
+    evaluates K at every (point, breakpoint) pair.
 
     Step kernels (knots a_0 < ... < a_M, value c_m on piece m) cost
     O(M log n) per point.  The exact image of a knot, x - a_m, lies strictly
@@ -480,12 +482,24 @@ def convolution_values(phi_t: Kernel, f: StepFunction, x) -> np.ndarray:
     subnormals.  Near 0 those cost relative precision: 40 segments of width
     2**-1070 under one window give up to 5.5e-3 of phi_t * |f|, of width
     2**-1060 up to 3.3e-6.
+
+    The triangle of half-width T is box_h * box_h, h = T/2: phi_t * f(x) is
+    (1/T) int_{x-h}^{x+h} g with g = box_h * f, continuous and linear
+    between its knots b_k -+ h (ordered exactly by comparing b_j - b_k with
+    T).  g at a knot is a prefix-mass difference plus one end piece, its
+    slope (v_{seg(y+h)} - v_{seg(y-h)}) / T.  A window's end pieces are
+    integrated from their nearest knots, the cells between from g's TwoSum
+    prefix masses (a single cell directly), so a point costs O(log n) and,
+    with V(x) the largest |f| on a segment that meets [x - T, x + T], errs
+    by at most u (32 V(x) + 16 (n + 1)**2 max|f|) + 4 (n + 1) 2**-1074 / T.
     """
     if np.ndim(x) > 1:
         raise ValueError(f"points must be a scalar or a 1-d array, got shape {np.shape(x)}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if phi_t.cdf_degree == 1:
         return _step_kernel_values(phi_t, f, xa)
+    if phi_t.kind == "triangle":
+        return _triangle_values(phi_t.half_width, f, xa)
     bk = f.breakpoints
     out = np.empty(len(xa))
     for blk in _point_blocks(len(xa), len(bk)):
@@ -532,6 +546,59 @@ def _step_kernel_values(phi_t: Kernel, f: StepFunction, x: np.ndarray) -> np.nda
             cdf = phi_t.cdf(xb[p] - np.take(bk, np.stack((s, s + 1)), mode="clip"))
             np.add.at(total, p, np.take(v, s, mode="clip") * (cdf[0] - cdf[1]))
         out[blk] = total
+    return out
+
+
+def _floor_sum(a, b):
+    """The largest float <= a + b, from TwoSum's rounding error."""
+    s = a + b
+    bb = s - a
+    return np.where((a - (s - bb)) + (b - bb) < 0.0, np.nextafter(s, -np.inf), s)
+
+
+def _triangle_values(T: float, f: StepFunction, x: np.ndarray) -> np.ndarray:
+    """convolution_values for the triangle of half-width T (see there)."""
+    bk, v, hi, lo = f.breakpoints, f.values, f._cum, f._cum_err
+    n, vp = len(v), np.append(v, 0.0)  # vp[n] = vp[-1] = 0: f outside (0, 1)
+
+    def count(z):  # #{k: b_k <= z}; z a float, or floored from an exact sum
+        return np.searchsorted(bk, z, side="right")
+
+    # T g at b_k + h and b_k - h: f over [b_k, b_k + T] and [b_k - T, b_k],
+    # whole segments from the prefix masses, the end piece from its breakpoint
+    j = count(_floor_sum(bk, T)) - 1  # segment of b_k + T, in [k, n]
+    i = count(_floor_sum(bk, -T)) - 1  # segment of b_k - T, in [-1, k - 1]
+    up = (hi[j] - hi) + (lo[j] - lo) + vp[j] * ((bk - bk[j]) + T)
+    down = (hi - hi[i + 1]) + (lo - lo[i + 1]) + vp[i] * ((bk[i + 1] - bk) + T)
+    # knots in exact order: b_k + h follows the j + 1 knots b_m - h with
+    # b_m <= b_k + T; knot K, also read as knot -1, is a sentinel with g = 0
+    K = 2 * (n + 1)
+    kb, kg, plus = np.zeros(K + 1), np.zeros(K + 1), np.zeros(K + 1, dtype=bool)
+    plus[np.arange(n + 1) + j + 1] = True
+    p = plus[:K]
+    kb[:K][p], kb[:K][~p], kg[:K][p], kg[:K][~p] = bk, bk, up / T, down / T
+    # on cell c (knots c - 1 to c), y + h is in segment #minus - 1, y - h in #plus - 1
+    cp = np.concatenate(([0], np.cumsum(p)))
+    dv = vp[np.arange(K + 1) - cp - 1] - vp[cp - 1]  # T g' on cell c
+    w = (kb[1:K] - kb[:K - 1]) + T * (p[1:] - p[:-1].astype(float))
+    mass = np.append(w * (0.5 * kg[:K - 1] + 0.5 * kg[1:K]), [0.0, 0.0])
+    qh = np.concatenate(([0.0], np.cumsum(mass[:-2]), [0.0]))  # index K: a pad
+    ql = np.append(_prefix_error(qh[:-1], mass[:-2]), 0.0)
+    out = np.empty(len(x))
+    with np.errstate(invalid="ignore"):  # inf - inf in _floor_sum: +-inf gives 0
+        for blk in _point_blocks(len(x), 1):
+            xb = x[blk]
+            mid = count(xb)  # x - h lies in cell a, x + h in cell b + 1
+            a, b = mid + count(_floor_sum(xb, -T)), mid + count(_floor_sum(xb, T)) - 1
+            # both in one cell: g(x), measured from its left knot
+            d = np.clip((xb - kb[a - 1]) - (plus[a - 1] - 0.5) * T, 0.0, T)
+            one = kg[a - 1] + dv[a] * (d / T)
+            # else the end pieces to knots a and b, and the cells between them
+            rl = np.clip((kb[a] - xb) + plus[a] * T, 0.0, T) / T
+            rr = np.clip((xb - kb[b]) + (1.0 - plus[b]) * T, 0.0, T) / T
+            run = np.where(b - a == 1, mass[a], (qh[b] - qh[a]) + (ql[b] - ql[a])) / T
+            two = rl * (kg[a] - dv[a] * (0.5 * rl)) + run + rr * (kg[b] + dv[b + 1] * (0.5 * rr))
+            out[blk] = np.where(a > b, one, two)
     return out
 
 
@@ -587,9 +654,9 @@ class PiecewisePoly(_Piecewise):
         return PiecewisePoly(new_bk, ca - cb)
 
 
-class _OpenStep(PiecewisePoly):
-    """A step (one coefficient column) that is 0 from its last breakpoint
-    on: a custom kernel's density and |f| inside MaximalFunction."""
+class _OpenPoly(PiecewisePoly):
+    """A PiecewisePoly that is 0 from its last breakpoint on: a custom
+    kernel's density, |f| inside MaximalFunction and convolve's output."""
 
     closed = False
 
@@ -606,15 +673,15 @@ def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
     """phi_t * f with f zero-extended.
 
     Exact piecewise polynomial (degree 1 for step kernels, 2 for the
-    triangle) on the grid of all sums breakpoint + knot; the smooth bump
-    is sampled on a uniform grid of _BUMP_SAMPLES cells and returned as a
-    piecewise-linear interpolant.  A degree-1 cell is the line through its
-    values at 1/4 and 3/4 of the cell, a degree-2 cell the parabola through
-    1/4, 1/2 and 3/4 at the points' actual offsets, not through its ends: a
-    knot b + t*a that rounds into the neighbouring cell moves an end value,
-    and at small t (all knots of b rounding to b) an end value mixes two
-    levels.  Within rounding of a knot the triangle's value can still be
-    off by about |jump of f| * (ulp(b) / t)**2.
+    triangle) on the grid of all sums breakpoint + knot, each rounded up to
+    a float, so that a float lies in the cell that holds it exactly; the
+    smooth bump is sampled on a uniform grid of _BUMP_SAMPLES cells and
+    returned as a piecewise-linear interpolant.  The result is 0 from its
+    last breakpoint on.  A degree-1 cell is the line through its values at
+    1/4 and 3/4 of the cell, a degree-2 cell the parabola through 1/4, 1/2
+    and 3/4 at the points' actual offsets (distinct floats inside the cell),
+    not through its ends: at small t (all knots of b within an ulp of b) an
+    end value would mix two levels.
     """
     deg = phi_t.cdf_degree
     if deg is None:
@@ -622,7 +689,7 @@ def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
         hi = f.breakpoints[-1] + phi_t.support_knots[-1]
         bkps = np.linspace(lo, hi, _BUMP_SAMPLES + 1)
     else:
-        bkps = np.unique((f.breakpoints[:, None] + phi_t.support_knots[None, :]).ravel())
+        bkps = -np.unique(_floor_sum(-f.breakpoints[:, None], -phi_t.support_knots[None, :]))[::-1]
     left, w = bkps[:-1], np.diff(bkps)
     n = len(w)
     coeffs = np.zeros((n, 3))
@@ -630,10 +697,13 @@ def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
         vals = convolution_values(phi_t, f, bkps)
         coeffs[:, 0] = vals[:-1]
         coeffs[:, 1] = np.diff(vals) / w
-        return PiecewisePoly(bkps, coeffs)
+        return _OpenPoly(bkps, coeffs)
     # Newton form through the values at 1/4, (1/2,) 3/4 of each cell, at the
-    # points' actual offsets u from its left end
-    x = [left + s * w for s in ((0.25, 0.75) if deg == 1 else (0.25, 0.5, 0.75))]
+    # points' actual offsets u from its left end, kept distinct inside the cell
+    x, top = [], bkps[1:]
+    for s in ((0.75, 0.25) if deg == 1 else (0.75, 0.5, 0.25)):
+        top = np.nextafter(top, -np.inf)
+        x.insert(0, np.maximum(np.minimum(left + s * w, top), left))
     v = np.split(convolution_values(phi_t, f, np.concatenate(x)), deg + 1)
     u1 = x[0] - left
     d1 = _slope(v[0], v[1], x[0], x[1])
@@ -645,7 +715,7 @@ def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
         coeffs[:, 0] += c2 * u1 * u2
         coeffs[:, 1] -= c2 * (u1 + u2)
         coeffs[:, 2] = c2
-    return PiecewisePoly(bkps, coeffs)
+    return _OpenPoly(bkps, coeffs)
 
 
 def _slope(va, vb, xa, xb):

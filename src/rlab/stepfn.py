@@ -50,6 +50,14 @@ def _canonical(bk: np.ndarray, vals: np.ndarray):
     return bk, vals
 
 
+def _prefix_error(cum: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The running sum of the rounding errors of cum = [0, cumsum(cells)]'s
+    additions (TwoSum, exact per step)."""
+    a, s = cum[:-1], cum[1:]
+    bb = s - a
+    return np.concatenate(([0.0], np.cumsum((a - (s - bb)) + (cells - bb))))
+
+
 class _Piecewise:
     """Breakpoints plus per-segment coefficients: the one piecewise type
     under StepFunction, f*, lambda, f**, PiecewisePoly and step kernels.
@@ -96,13 +104,9 @@ class _Piecewise:
 
     @cached_property
     def _cum_err(self) -> np.ndarray:
-        """For a step: the running sum of the rounding errors of ``_cum``'s
-        additions (TwoSum, exact per step), so _cum + _cum_err carries the
-        prefix masses of the rounded v_k * w_k to about twice the precision."""
-        cells = self._coef[:, 0] * np.diff(self.breakpoints)
-        a, s = self._cum[:-1], self._cum[1:]
-        bb = s - a
-        return np.concatenate(([0.0], np.cumsum((a - (s - bb)) + (cells - bb))))
+        """For a step: _cum + _cum_err carries the prefix masses of the
+        rounded v_k * w_k to about twice the precision."""
+        return _prefix_error(self._cum, self._coef[:, 0] * np.diff(self.breakpoints))
 
     def primitive(self, x):
         """Exact integral from the first breakpoint up to x, constant past

@@ -261,8 +261,9 @@ def test_operators_reject_points_with_more_than_one_axis():
     x = np.full((2, 3), 0.5)
     with pytest.raises(ValueError, match="1-d"):
         maximal(f)(x)
-    with pytest.raises(ValueError, match="1-d"):
-        convolution_values(box_kernel().scaled(0.1), f, x)
+    for k in (box_kernel(), triangle_kernel()):
+        with pytest.raises(ValueError, match="1-d"):
+            convolution_values(k.scaled(0.1), f, x)
 
 
 def test_convolution_box_indicator_values():
@@ -353,12 +354,55 @@ def test_triangle_convolve_is_exact_near_breakpoints(t):
     assert np.max(err) <= 1e-13 * f.max_abs()
 
 
+@pytest.mark.parametrize("t", [1e-6, 1e-9, 1e-12, 2e-16])
+def test_convolve_reads_the_right_cell_beside_its_knots(t):
+    # a float within an ulp of a knot b + t*a must fall in the cell that
+    # holds it exactly; rounded to nearest, a knot could put it in the next
+    # cell (3.3e-5 off for the box at t = 1e-12), and fl(1 + t), past the
+    # support's end, read -2.2e-5 where the value is 0.  With breakpoints a
+    # few ulps apart and t a few ulps, cells hold two or three floats, and a
+    # fit through samples that round onto one float was off by up to max|f|
+    ulp = np.spacing(0.3)
+    for f in (make_step([0.0, 0.3, 0.7, 1.0], [2.0, -1.0, 0.5]),
+              make_step([0.0, 0.3, 0.3 + 2 * ulp, 0.3 + 6 * ulp, 0.7, 1.0],
+                        [2.0, -1.0, 1.5, -0.5, 0.5])):
+        for k in (box_kernel(), triangle_kernel(),
+                  custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5], normalize=False)):
+            _check_convolve_beside_knots(k.scaled(t), f)
+
+
+def _check_convolve_beside_knots(phi, f):
+    up = down = (f.breakpoints[:, None] + phi.support_knots[None, :]).ravel()
+    near = [up]
+    for _ in range(3):  # the knots' float neighbours, up to 3 ulps away
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    x = np.unique(np.concatenate(near))
+    got = convolve(phi, f)(x)
+    for xi, gi in zip(x, got):
+        err = abs(Fraction(float(gi)) - _exact_step_convolution(phi, f, xi))
+        assert err <= 32 * _U * phi.mass * f.max_abs(), (phi.kind, xi, gi)
+
+
 # ---------------------------------------------------------------- step-kernel windows
 
 def _exact_step_convolution(phi_t, f, x, absolute=False):
     """(phi_t * f)(x) in rationals: every overlap of a segment of f with
     the image (x - a_{m+1}, x - a_m) of a kernel piece, from the floats
-    that define phi_t and f."""
+    that define phi_t and f; for the triangle, whose cdf K is quadratic,
+    the sum of v_k [K(x - b_k) - K(x - b_{k+1})] over the segments that
+    meet (x - T, x + T)."""
+    if phi_t.kind == "triangle":
+        T, xq = Fraction(phi_t.half_width), Fraction(float(x))
+        bk = [Fraction(b) for b in f.breakpoints]
+
+        def K(z):
+            z = min(max(z, -T), T)
+            return (z + T) ** 2 / (2 * T * T) if z <= 0 else 1 - (T - z) ** 2 / (2 * T * T)
+
+        return sum((Fraction(abs(v) if absolute else v) * (K(xq - bk[k]) - K(xq - bk[k + 1]))
+                    for k, v in enumerate(f.values) if bk[k] < xq + T and bk[k + 1] > xq - T),
+                   Fraction(0))
     if phi_t.kind == "box":
         h = Fraction(phi_t.half_width)
         knots, dens = [-h, h], [1 / (2 * h)]
@@ -380,10 +424,13 @@ def _exact_step_convolution(phi_t, f, x, absolute=False):
 def _stated_bound(phi_t, f, x):
     """The error bound in convolution_values' docstring."""
     knots, h, n = phi_t.support_knots, phi_t.half_width, len(f.values)
-    c_max = float(np.max(phi_t.density(0.5 * (knots[:-1] + knots[1:]))))
     xq, hq, bk = Fraction(float(x)), Fraction(h), [Fraction(b) for b in f.breakpoints]
     near = [abs(v) for k, v in enumerate(f.values) if bk[k] <= xq + hq and bk[k + 1] >= xq - hq]
-    M, V = len(knots) - 1, max(near, default=0.0)
+    V = max(near, default=0.0)
+    if phi_t.kind == "triangle":
+        return _U * (32 * V + 16 * (n + 1) ** 2 * f.max_abs()) + 4 * (n + 1) * 2.0**-1074 / h
+    c_max = float(np.max(phi_t.density(0.5 * (knots[:-1] + knots[1:]))))
+    M = len(knots) - 1
     return (c_max * h * _U * (32 * (M + 2) ** 2 * V + 4 * n**2 * f.max_abs())
             + c_max * n * 2.0**-1074)
 
@@ -407,7 +454,7 @@ _steps = st.builds(
 
 
 @settings(max_examples=150, deadline=None)
-@given(k=st.one_of(st.just(box_kernel()), _custom_kernels), f=_steps,
+@given(k=st.one_of(st.just(box_kernel()), st.just(triangle_kernel()), _custom_kernels), f=_steps,
        log_t=st.floats(-300.0, math.log10(2.0)), x_rand=st.floats(-0.5, 1.5))
 def test_step_kernel_windows_match_exact_rationals(k, f, log_t, x_rand):
     phi = k.scaled(10.0**log_t)
@@ -453,13 +500,15 @@ def test_step_kernel_scalar_and_unsorted_points():
     rng = np.random.default_rng(89)
     f = _signed_fn(rng, 40)
     x = rng.uniform(-0.2, 1.2, 300)
-    for k in (box_kernel(), custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5])):
+    for k in (box_kernel(), triangle_kernel(),
+              custom_step_kernel([-1.0, -0.3, 0.4, 1.0], [1.0, 3.0, 0.5])):
         phi = k.scaled(0.05)
         got = convolution_values(phi, f, x)
         order = np.argsort(x)
         assert np.array_equal(convolution_values(phi, f, x[order]), got[order])
         assert np.array_equal(convolution_values(phi, f, float(x[7])), got[7:8])
-        assert np.isnan(convolution_values(phi, f, [np.nan, 0.5])[0])
+        edge = convolution_values(phi, f, [np.nan, 0.5, np.inf, -np.inf])
+        assert np.isnan(edge[0]) and np.array_equal(edge[2:], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("exponent", [-1070, -1060, -1040])
@@ -851,19 +900,29 @@ def test_blocked_convolution_matches_dense_formula(n):
         phi = k.scaled(0.03)
         got = convolution_values(phi, f, x)
         # the sums carry signed terms: bound the rounding by phi_t * |f|
+        if k.kind == "triangle" and n < 1000:
+            # the dense formula loses digits where K is near 1 in the kernel's
+            # tail (-2.7e-13 of phi_t * |f| at x = 1.0296547408346957 here)
+            for xi, gi in zip(x, got):
+                err = abs(Fraction(float(gi)) - _exact_step_convolution(phi, f, xi))
+                assert err <= 1e-13 * _exact_step_convolution(phi, f, xi, absolute=True), xi
+            continue
         scale = _dense_convolution(phi, absf, x)
         assert np.all(np.abs(got - _dense_convolution(phi, f, x)) <= 1e-13 * scale)
 
 
-def test_blocked_operators_memory_stays_bounded():
+def test_blocked_operators_memory_stays_bounded(deadline):
     rng = np.random.default_rng(83)
     f = _signed_fn(rng, 1000)
+    big = _signed_fn(rng, 10_000)
     runs = (lambda: maximal(f).cell_average_step(4096),
-            lambda: convolve(triangle_kernel().scaled(0.01), f))
+            lambda: convolve(triangle_kernel().scaled(0.01), f),
+            lambda: convolve(triangle_kernel().scaled(0.01), big))
     for run in runs:
         tracemalloc.start()
         try:
-            run()
+            with deadline(5):
+                run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
