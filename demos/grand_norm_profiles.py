@@ -32,7 +32,7 @@ for m in (1.0, 0.25, 0.01):
 # the full profile is available for plotting or inspection
 res = eps_profile(characteristic([(0.0, 0.01)]), spec, grid_size=16)
 print("\neps profile for m = 0.01 (16-point grid):")
-for eps, val in res.profile:
+for eps, val in zip(res.eps, res.slice_values):
     bar = "#" * int(round(60 * val / res.value))
     print(f"  eps={eps:8.6f}  value={val:.6f}  {bar}")
 

@@ -48,7 +48,6 @@ from .stepfn import StepFunction, _canonical, _Piecewise, _prefix_error, make_st
 __all__ = [
     "Kernel",
     "PiecewisePoly",
-    "PotentialType",
     "MaximalFunction",
     "DominationReport",
     "SweepRow",
@@ -60,7 +59,6 @@ __all__ = [
     "kernel_from_json",
     "maximal",
     "radial_majorant",
-    "is_potential_type",
     "convolve",
     "convolution_values",
     "step_approximate",
@@ -75,7 +73,7 @@ _BLOCK = 2**14  # float64 values per temporary in the blocked operators (128 KiB
 _RUN, _CHUNK, _DENSE = 32, 4, 2**17  # MaximalFunction's block, chunk and dense sizes
 _PAD, _TINY = 2.0**-48, 2.0**-1060  # relative and absolute pads of its radius bounds
 _CELL_PANELS = 4  # Simpson panels per cell in MaximalFunction.cell_average_step
-_DOMINATION_TOL = 1e-9  # DominationReport.tolerance of domination_check
+_DOMINATION_TOL = 1e-9  # DominationReport.tolerance of domination_check, per unit of max|f|
 
 
 @cache
@@ -129,6 +127,7 @@ class Kernel:
                 raise ValueError("custom_step breakpoints must span (-half_width, half_width)")
             if np.any(vals < 0) or not np.all(np.isfinite(vals)):
                 raise ValueError("kernel values must be finite and nonnegative")
+            _step_mass(bk, vals)
             object.__setattr__(self, "breakpoints", tuple(bk.tolist()))
             object.__setattr__(self, "values", tuple(vals.tolist()))
         elif self.breakpoints is not None or self.values is not None:
@@ -232,6 +231,15 @@ class Kernel:
         return Kernel("custom_step", float(bk[-1]), tuple(bk.tolist()), tuple(vals.tolist()))
 
 
+def _step_mass(bk: np.ndarray, vals: np.ndarray) -> float:
+    """sum(vals * diff(bk)); ValueError when it exceeds the float range."""
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(vals * np.diff(bk)))
+    if math.isinf(mass):
+        raise ValueError("custom_step kernel mass exceeds the float range")
+    return mass
+
+
 def box_kernel(half_width: float = 1.0) -> Kernel:
     return Kernel("box", half_width)
 
@@ -259,7 +267,7 @@ def custom_step_kernel(breakpoints, values, normalize: bool = True) -> Kernel:
     if bk[0] != -hw or hw <= 0:
         raise ValueError("custom_step support must be symmetric: breakpoints from -h to h")
     if normalize:
-        mass = float(np.sum(vals * np.diff(bk)))
+        mass = _step_mass(bk, vals)
         if mass <= 0:
             raise ValueError("cannot normalize a kernel with zero mass")
         vals = vals / mass
@@ -283,27 +291,6 @@ def radial_majorant(phi: Kernel) -> Kernel:
     mirrored_bk = np.concatenate((-u[::-1], u[1:]))
     mirrored_vals = np.concatenate((env[::-1], env))
     return custom_step_kernel(mirrored_bk, mirrored_vals, normalize=False)
-
-
-@dataclass(frozen=True)
-class PotentialType:
-    """Truthy iff the kernel has an integrable radial majorant; carries the
-    majorant's mass."""
-
-    is_potential: bool
-    majorant_mass: float
-
-    def __bool__(self) -> bool:
-        return self.is_potential
-
-
-def is_potential_type(phi: Kernel) -> PotentialType:
-    """Bounded kernels with bounded support always qualify; the interesting
-    output is the majorant mass (1 for the symmetric built-ins, possibly
-    larger for asymmetric custom kernels)."""
-    env = radial_majorant(phi)
-    mass = env.mass
-    return PotentialType(bool(np.isfinite(mass)), float(mass))
 
 
 # -- centered maximal operator ---------------------------------------------
@@ -617,41 +604,27 @@ class PiecewisePoly(_Piecewise):
     def _coef(self) -> np.ndarray:
         return self.coeffs
 
-    @classmethod
-    def from_step(cls, f: StepFunction) -> "PiecewisePoly":
-        n = len(f.values)
-        coeffs = np.zeros((n, 3))
-        coeffs[:, 0] = f.values
-        return cls(f.breakpoints.copy(), coeffs)
-
-    cumulative = _Piecewise.primitive  # integral from the left end up to x
-
-    def integral(self, a: float, b: float) -> float:
-        lo, hi = self.cumulative(np.array([a, b]))
-        return float(hi - lo)
-
-    def _resampled_coeffs(self, new_bk: np.ndarray) -> np.ndarray:
-        """Coefficients on a refinement grid (must contain all own
-        breakpoints that lie inside [new_bk[0], new_bk[-1]])."""
-        bk = self.breakpoints
-        left = new_bk[:-1]
-        idx = self.segment(left)
-        inside = (left >= bk[0]) & (left < bk[-1])
-        u0 = left - bk[idx]
-        c = self.coeffs[idx]
-        out = np.zeros((len(left), 3))
-        out[:, 0] = c[:, 0] + u0 * (c[:, 1] + u0 * c[:, 2])
-        out[:, 1] = c[:, 1] + 2.0 * c[:, 2] * u0
-        out[:, 2] = c[:, 2]
-        out[~inside] = 0.0
-        return out
-
-    def __sub__(self, other):
-        other = _as_poly(other)
+    def __sub__(self, other: Union["PiecewisePoly", StepFunction]) -> "PiecewisePoly":
         new_bk = np.union1d(self.breakpoints, other.breakpoints)
-        ca = self._resampled_coeffs(new_bk)
-        cb = other._resampled_coeffs(new_bk)
-        return PiecewisePoly(new_bk, ca - cb)
+        return PiecewisePoly(new_bk, _resampled_coeffs(self, new_bk) - _resampled_coeffs(other, new_bk))
+
+
+def _resampled_coeffs(g: _Piecewise, new_bk: np.ndarray) -> np.ndarray:
+    """g's coefficients on a refinement grid (must contain all of g's
+    breakpoints that lie inside [new_bk[0], new_bk[-1]]); a step's higher
+    coefficients are 0."""
+    bk = g.breakpoints
+    left = new_bk[:-1]
+    idx = g.segment(left)
+    inside = (left >= bk[0]) & (left < bk[-1])
+    u0 = left - bk[idx]
+    c = np.pad(g._coef[idx], ((0, 0), (0, 3 - g._coef.shape[1])))
+    out = np.zeros((len(left), 3))
+    out[:, 0] = c[:, 0] + u0 * (c[:, 1] + u0 * c[:, 2])
+    out[:, 1] = c[:, 1] + 2.0 * c[:, 2] * u0
+    out[:, 2] = c[:, 2]
+    out[~inside] = 0.0
+    return out
 
 
 class _OpenPoly(PiecewisePoly):
@@ -659,14 +632,6 @@ class _OpenPoly(PiecewisePoly):
     kernel's density, |f| inside MaximalFunction and convolve's output."""
 
     closed = False
-
-
-def _as_poly(g) -> PiecewisePoly:
-    if isinstance(g, PiecewisePoly):
-        return g
-    if isinstance(g, StepFunction):
-        return PiecewisePoly.from_step(g)
-    raise ValueError("expected a PiecewisePoly or StepFunction")
 
 
 def convolve(phi_t: Kernel, f: StepFunction) -> PiecewisePoly:
@@ -732,9 +697,8 @@ def step_approximate(g: Union[PiecewisePoly, StepFunction], n: int = 4096) -> St
     """
     if n < 2:
         raise ValueError("need at least two cells")
-    g = _as_poly(g)
     edges = np.linspace(0.0, 1.0, n + 1)
-    cums = g.cumulative(edges)
+    cums = g.primitive(edges)
     return make_step(edges, np.diff(cums) * n)
 
 
@@ -758,7 +722,9 @@ class DominationReport:
 
 
 def domination_check(phi: Kernel, f: StepFunction, x_grid, t_grid) -> DominationReport:
-    """Evaluate Mf - |phi_t * f| on the grid and report the worst slack."""
+    """Evaluate Mf - |phi_t * f| on the grid and report the worst slack.
+    The slack is 1-homogeneous in f, so the tolerance is _DOMINATION_TOL
+    times max|f|."""
     x = np.asarray(x_grid, dtype=float)
     M = maximal(f)(x)
     min_slack = math.inf
@@ -776,7 +742,7 @@ def domination_check(phi: Kernel, f: StepFunction, x_grid, t_grid) -> Domination
         worst_x=worst[0],
         worst_t=worst[1],
         n_points=len(x) * len(np.atleast_1d(t_grid)),
-        tolerance=_DOMINATION_TOL,
+        tolerance=_DOMINATION_TOL * f.max_abs(),
     )
 
 

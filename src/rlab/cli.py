@@ -88,13 +88,9 @@ def _cmd_norm(args) -> int:
     spec = spacespec_from_json(_load_json_arg(args.spec))
     f = step_from_json(_load_json_arg(args.fn))
     out = space_norm(f, spec)
-    value = out.value if isinstance(out, EpsSupResult) else float(out)
-    sys.stdout.write(_fmt(value) + "\n")
+    payload = out.to_json() if isinstance(out, EpsSupResult) else {"value": float(out)}
+    sys.stdout.write(_fmt(payload["value"]) + "\n")
     if getattr(args, "out", None):
-        payload = {"value": value}
-        if isinstance(out, EpsSupResult):
-            payload.update(upper=out.upper, evals=out.evals,
-                           eps_star=out.eps_star, endpoint_limit=out.endpoint_limit)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")

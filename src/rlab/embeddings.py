@@ -40,7 +40,6 @@ __all__ = [
     "domination_slice_check",
 ]
 
-_SLICE_TOL = 1e-10  # SliceDominationReport.tolerance of domination_slice_check
 _DOWN_TOL = 1e-10  # downward_check's stopping gap in log(value)
 
 
@@ -434,16 +433,17 @@ def shrinking_probe(p: float, q: float, r: float, s: float,
 class SliceDominationReport:
     """Fixed-eps comparison of grand Lorentz slices under two measures
     weighting the t-integral (shared Lebesgue rearrangement):
-    slice_nu(eps) <= C^(1/(q-eps)) * slice_mu(eps)."""
+    slice_nu(eps) <= C^(1/(q-eps)) * slice_mu(eps).  It holds whenever C is
+    finite (each merged-segment base of nu is at most C times mu's), at any
+    scale of f; min_slack and worst_eps report it on the eps grid."""
 
     constant: float
     min_slack: float
     worst_eps: float
-    tolerance: float
 
     @property
     def holds(self) -> bool:
-        return math.isfinite(self.constant) and self.min_slack >= -self.tolerance
+        return math.isfinite(self.constant)
 
 
 def domination_slice_check(f: StepFunction, p: float, q: float,
@@ -454,11 +454,11 @@ def domination_slice_check(f: StepFunction, p: float, q: float,
     C = domination_constant(mu, nu)
     if not math.isfinite(C):
         return SliceDominationReport(constant=math.inf, min_slack=-math.inf,
-                                     worst_eps=math.nan, tolerance=_SLICE_TOL)
+                                     worst_eps=math.nan)
     eps = eps_grid(float(q) - 1.0)
     slice_nu = grand_lorentz_slice_values(f, p, q, eps, t_weight=nu)
     slice_mu = grand_lorentz_slice_values(f, p, q, eps, t_weight=mu)
     slack = C ** (1.0 / (float(q) - eps)) * slice_mu - slice_nu
     i = int(np.argmin(slack))
     return SliceDominationReport(constant=C, min_slack=float(slack[i]),
-                                 worst_eps=float(eps[i]), tolerance=_SLICE_TOL)
+                                 worst_eps=float(eps[i]))

@@ -81,7 +81,6 @@ __all__ = [
     "lorentz_pq_star_norm",
     "grand_lebesgue_norm",
     "grand_lorentz_pq_norm",
-    "lambda_norm",
     "grand_lambda_norm",
     "grand_lorentz_slice_values",
     "eps_profile",
@@ -144,19 +143,10 @@ class EpsSupResult:
     eps: np.ndarray = field(default_factory=lambda: np.empty(0))
     slice_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    @property
-    def profile(self):
-        return list(zip(self.eps.tolist(), self.slice_values.tolist()))
-
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "upper": self.upper,
-            "eps_star": self.eps_star,
-            "endpoint_limit": self.endpoint_limit,
-            "evals": self.evals,
-            "profile": [[e, v] for e, v in self.profile],
-        }
+        """The bracket as `rlab norm --out` writes it (no profile)."""
+        return {"value": self.value, "upper": self.upper, "evals": self.evals,
+                "eps_star": self.eps_star, "endpoint_limit": self.endpoint_limit}
 
 
 def _slice_closure(values: np.ndarray, base: np.ndarray, top: float):
@@ -252,7 +242,8 @@ def _sup_engine(levels: np.ndarray, base: np.ndarray, top: float) -> EpsSupResul
                                            (hi_g + lm + half) / (top - hi)),
                         np.maximum(n_hi / top, n_hi / (top - hi)))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a slice past the float range reads inf here; _norm_of_terms raises for it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nodes = np.append(limit * _NODES, limit)
         vals, g = run(nodes)
         best_v, best_e, best, closed, evals, (e0, g0) = _eps_sup(
@@ -376,8 +367,11 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
     if spec.kind == "lorentz_pq":
         k = np.count_nonzero(levels) or len(levels)
         bk, levels = bk[:k + 1], levels[:k]
-    end = bk[-1]
-    bk, levels = bk / end, levels * end ** (1.0 / p)
+    end = float(bk[-1])
+    scale = end ** (1.0 / p)  # a Python float: OverflowError past the float range
+    if math.isinf(float(levels[0]) * scale):  # f*'s top level
+        raise OverflowError("f* rescaled to a grid ending at 1 exceeds the float range")
+    bk, levels = bk / end, levels * scale
     if math.isinf(q):
         # on each segment t^{1/p} increases, so the per-segment sup sits at
         # the right endpoint
@@ -396,7 +390,9 @@ def _terms(f: StepFunction, spec: SpaceSpec, t_weight: Optional[Weight] = None):
 
 
 def space_norm(f: StepFunction, spec: SpaceSpec) -> Union[float, EpsSupResult]:
-    """Evaluate the norm described by spec; grand kinds return EpsSupResult."""
+    """Evaluate the norm described by spec; grand kinds return EpsSupResult.
+    Raises OverflowError when the value, or a grand kind's upper, exceeds
+    the float range."""
     if spec.kind == "lorentz_pq_star":
         return lorentz_pq_star_norm(f, spec.p, spec.q, spec.measure)
     return _norm_of_terms(_KINDS[spec.kind].grand, *_terms(f, spec))
@@ -404,16 +400,18 @@ def space_norm(f: StepFunction, spec: SpaceSpec) -> Union[float, EpsSupResult]:
 
 def _norm_of_terms(grand: bool, levels: np.ndarray, base: np.ndarray,
                    top: float) -> Union[float, EpsSupResult]:
-    """The norm of _terms' (levels, base, top); grand kinds give EpsSupResult."""
-    if not levels.any():
-        value = 0.0
-    elif math.isinf(top):
-        value = float(np.max(levels * base))  # the largest right-end value
-    elif grand:
-        return _sup_engine(levels, base, top)
-    else:
-        return _scaled_power_sum(levels, base, top)
-    return EpsSupResult(value, None, None, value, 0) if grand else value
+    """The norm of _terms' (levels, base, top); grand kinds give EpsSupResult.
+    OverflowError when the value, or a grand kind's upper, is not finite."""
+    if grand and levels.any() and not math.isinf(top):
+        out = _sup_engine(levels, base, top)
+        top_value = out.upper  # at least out.value
+    else:  # closed forms: 0, for q = inf the largest right-end value, else the power sum
+        top_value = (0.0 if not levels.any() else float(np.max(levels * base)) if math.isinf(top)
+                     else _scaled_power_sum(levels, base, top))
+        out = EpsSupResult(top_value, None, None, top_value, 0) if grand else top_value
+    if not math.isfinite(top_value):
+        raise OverflowError("the norm, or its certified upper bound, exceeds the float range")
+    return out
 
 
 def norm_value(f: StepFunction, spec: SpaceSpec) -> float:
@@ -498,13 +496,6 @@ def lorentz_pq_star_norm(f: StepFunction, p: float, q: float,
     if not math.isfinite(out):
         raise OverflowError("the f** norm exceeds the float range")
     return out
-
-
-def lambda_norm(f: StepFunction, p: float, weight: Weight,
-                mu: Optional[MeasureDensity] = None) -> float:
-    """Weighted norm (int_0^1 f*(t)^p w(t) dt)^{1/p}; exact for step and
-    power weights."""
-    return space_norm(f, SpaceSpec("lambda_classical", p, weight=weight, measure=mu))
 
 
 def grand_lebesgue_norm(f: StepFunction, p: float) -> EpsSupResult:

@@ -44,7 +44,6 @@ __all__ = [
     "distribution",
     "rearrangement",
     "average",
-    "measure_gap",
 ]
 
 
@@ -204,12 +203,3 @@ def average(fstar: Rearrangement) -> AverageFunction:
     bk, vals, cum = fstar.breakpoints, fstar.values, fstar._cum
     return AverageFunction(bk, vals, cum[:-1] - vals * bk[:-1], float(cum[-1]))
 
-
-def measure_gap(fn: StepFunction, f: StepFunction, y: float,
-                mu: Optional[MeasureDensity] = None) -> float:
-    """mu{ |fn - f| > y } for y > 0: convergence-in-measure gauge."""
-    from .stepfn import level_measure, pointwise
-
-    if not y > 0:
-        raise ValueError("measure_gap needs y > 0")
-    return level_measure(pointwise("abs", pointwise("sub", fn, f)), y, mu)

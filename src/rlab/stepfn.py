@@ -245,13 +245,6 @@ class MeasureDensity:
         """mu((0, t)) for t in [0, 1], exact: linear inside each segment."""
         return self.density.primitive(t)
 
-    def interval_mass(self, a: float, b: float) -> float:
-        """mu((a, b)) for 0 <= a <= b <= 1."""
-        if not 0.0 <= a <= b <= 1.0:
-            raise ValueError("interval must sit inside [0, 1]")
-        lo, hi = self.primitive([a, b])
-        return float(hi - lo)
-
 
 LEBESGUE = MeasureDensity(make_step([0.0, 1.0], [1.0]))
 
@@ -272,10 +265,6 @@ class IntervalSet:
                 raise ValueError("intervals must be sorted and pairwise disjoint")
             last = b
         object.__setattr__(self, "intervals", ivs)
-
-    def measure(self, mu: Optional[MeasureDensity] = None) -> float:
-        mu = mu or LEBESGUE
-        return float(sum(mu.interval_mass(a, b) for a, b in self.intervals))
 
 
 def merge_segment_grids(bk_a, va, bk_b, vb):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .stepfn import MeasureDensity, StepFunction, measure_from_json, step_from_json
 
-__all__ = ["PowerWeight", "Weight", "weight_from_json", "weight_to_json"]
+__all__ = ["PowerWeight", "Weight", "weight_from_json"]
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,3 @@ def weight_from_json(obj) -> Weight:
         return MeasureDensity(step)
     raise ValueError("unrecognized weight JSON (expected power_weight, density, or breakpoints)")
 
-
-def weight_to_json(w: Weight) -> dict:
-    if isinstance(w, PowerWeight):
-        return {"power_weight": {"alpha": w.alpha, "coeff": w.coeff}}
-    step = _as_weight(w).density
-    return {"breakpoints": step.breakpoints.tolist(), "values": step.values.tolist()}

@@ -13,8 +13,8 @@ from rlab import (PiecewisePoly, SpaceSpec, box_kernel, bump_kernel,
                   integrate,
                   characteristic, convergence_sweep, convolution_values,
                   convolve, custom_step_kernel, domination_check,
-                  is_potential_type, kernel_from_json, make_step, maximal,
-                  radial_majorant, step_approximate, triangle_kernel)
+                  kernel_from_json, make_step, maximal,
+                  radial_majorant, random_step_function, step_approximate, triangle_kernel)
 from rlab import analysis
 from rlab.analysis import Kernel
 from rlab.weights import PowerWeight
@@ -104,6 +104,14 @@ def test_scaled_kernel_rejects_bad_scales():
     assert big.scaled(1e-8).values == (1e308,)
 
 
+def test_custom_kernel_with_an_overflowing_mass_is_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for normalize in (False, True):
+            with pytest.raises(ValueError, match="mass exceeds the float range"):
+                custom_step_kernel([-1.0, 0.0, 1.0], [1e308, 1e308], normalize=normalize)
+
+
 def test_kernels_with_subnormal_half_widths():
     # a peak density 0.5/h (box), 1/h (triangle) or 0.83/h (bump) past the
     # float range is rejected, as a custom kernel's values over t are
@@ -172,15 +180,11 @@ def test_radial_majorant_asymmetric_custom():
     assert np.allclose(env.density(xs), env.density(-xs))
 
 
-def test_is_potential_type_masses():
+def test_radial_majorant_masses():
     for k in (box_kernel(), triangle_kernel(), bump_kernel()):
-        rep = is_potential_type(k)
-        assert rep and rep.is_potential
-        assert rep.majorant_mass == pytest.approx(1.0, rel=1e-12)
+        assert radial_majorant(k).mass == pytest.approx(1.0, rel=1e-12)
     unit = custom_step_kernel([-1.0, 0.0, 1.0], [0.5, 2.0])
-    rep = is_potential_type(unit)
-    assert rep and rep.majorant_mass > 1.0
-    assert rep.majorant_mass == pytest.approx(2 * (2.0 / 2.5), rel=1e-15)
+    assert radial_majorant(unit).mass == pytest.approx(2 * (2.0 / 2.5), rel=1e-15)
 
 
 # ---------------------------------------------------------------- maximal
@@ -282,7 +286,7 @@ def test_convolution_mass_preserved():
     for base in (box_kernel(), triangle_kernel(),
                  custom_step_kernel([-1.0, -0.2, 1.0], [2.0, 0.5])):
         conv = convolve(base.scaled(0.15), f)
-        got = conv.integral(conv.breakpoints[0], conv.breakpoints[-1])
+        got = conv.primitive(conv.breakpoints[-1])  # from the first breakpoint
         assert got == pytest.approx(total, rel=1e-12, abs=1e-13)
 
 
@@ -290,7 +294,7 @@ def test_convolution_bump_mass_and_agreement():
     f = CHI
     phi = bump_kernel().scaled(0.2)
     conv = convolve(phi, f)
-    got = conv.integral(conv.breakpoints[0], conv.breakpoints[-1])
+    got = conv.primitive(conv.breakpoints[-1])  # from the first breakpoint
     assert got == pytest.approx(integrate(f), rel=1e-7)
     x = np.linspace(-0.1, 1.1, 101)
     direct = convolution_values(phi, f, x)
@@ -555,16 +559,6 @@ def test_step_kernel_many_points_against_many_segments(deadline):
 
 # ---------------------------------------------------------------- poly algebra
 
-def test_piecewise_poly_from_step_round_trip():
-    f = make_step([0.0, 0.3, 1.0], [2.0, -1.0])
-    poly = PiecewisePoly.from_step(f)
-    x = np.array([0.1, 0.5, 0.9])
-    assert np.array_equal(poly(x), f(x))
-    assert poly.integral(0.0, 1.0) == pytest.approx(integrate(f), rel=1e-15)
-    assert poly.cumulative(1.0) == pytest.approx(integrate(f), rel=1e-15)
-    assert poly.cumulative(0.0) == 0.0
-
-
 def test_piecewise_poly_subtraction_matches_pointwise():
     f = CHI
     conv = convolve(box_kernel().scaled(0.1), f)
@@ -572,8 +566,8 @@ def test_piecewise_poly_subtraction_matches_pointwise():
     x = np.array([0.05, 0.31, 0.42, 0.77])
     assert np.allclose(diff(x), conv(x) - f(x), atol=1e-14)
     # and integrals subtract
-    assert diff.integral(-0.5, 1.5) == pytest.approx(
-        conv.integral(-0.5, 1.5) - integrate(f), abs=1e-14)
+    assert diff.primitive(1.5) - diff.primitive(-0.5) == pytest.approx(
+        conv.primitive(1.5) - conv.primitive(-0.5) - integrate(f), abs=1e-14)
 
 
 def test_step_approximate_constant_and_ramp():
@@ -591,7 +585,7 @@ def test_step_approximate_constant_and_ramp():
 def test_step_approximate_preserves_interior_mass():
     conv = convolve(triangle_kernel().scaled(0.08), CHI)
     s = step_approximate(conv, 512)
-    assert integrate(s) == pytest.approx(conv.integral(0.0, 1.0), rel=1e-12)
+    assert integrate(s) == pytest.approx(conv.primitive(1.0) - conv.primitive(0.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------- domination
@@ -623,6 +617,17 @@ def test_domination_random_triangle():
                                np.geomspace(5e-3, 0.8, 40))
         assert rep.min_slack >= -1e-9
         assert rep.holds
+
+
+def test_domination_verdict_is_scale_free():
+    # the slack is 1-homogeneous in f, and so is the tolerance it is held to
+    rng = np.random.default_rng(5)
+    x, t = rng.uniform(0.0, 1.0, 100), np.geomspace(1e-3, 1.0, 30)
+    fs = [random_step_function(rng, signed=True) * 10.0 ** rng.uniform(-250.0, 250.0)
+          for _ in range(60)]
+    reps = [domination_check(triangle_kernel(), f, x, t) for f in fs]
+    assert all(rep.holds for rep in reps)
+    assert [rep.tolerance for rep in reps] == [1e-9 * f.max_abs() for f in fs]
 
 
 # ---------------------------------------------------------------- sweeps

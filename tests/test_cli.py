@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,16 @@ def test_exit_code_on_overflow(capsys):
     assert out == ""
     assert err.startswith("computation error:")
     assert "Traceback" not in err
+
+
+def test_exit_code_on_overflowing_grand_norm(capsys):
+    # the grand sup is about 2e308; no numpy RuntimeWarning escapes on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, ["norm", "--spec", '{"kind": "grand_lorentz_pq", "p": 2, "q": 3}',
+                                       "--fn", '{"breakpoints": [0.0, 1.0], "values": [1e308]}'])
+    assert (code, out) == (2, "")
+    assert err.startswith("computation error: OverflowError")
 
 
 # 10**15 float64 values is petabytes: numpy refuses it before touching memory

@@ -11,7 +11,7 @@ from rlab import (MeasureDensity, QuadratureError, SpaceSpec, atom_bound,
                   characteristic, cross_weight_check, domination_constant,
                   domination_slice_check, downward_check, empirical_constant,
                   eps_grid, grand_lorentz_pq_norm, make_step, mutual_ac,
-                  shrinking_probe, wholds_check)
+                  random_measure, random_step_function, shrinking_probe, wholds_check)
 from rlab import embeddings
 from rlab.stepfn import pointwise
 from rlab.weights import PowerWeight
@@ -743,6 +743,17 @@ def test_domination_slice_general_pair():
         assert rep.min_slack >= -1e-10
         assert rep.holds
         assert 0.0 < rep.worst_eps < 0.8
+
+
+def test_domination_slice_verdict_is_scale_free():
+    # nu = 3 mu holds at any scale of f; a slack tolerance of fixed size
+    # called about half of these pairs violated (min slack -5e176 at 1.7e189)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        f = random_step_function(rng) * 10.0 ** rng.uniform(-250.0, 250.0)
+        mu = random_measure(rng)
+        rep = domination_slice_check(f, 2.0, 3.0, mu, MeasureDensity(mu.density * 3.0))
+        assert rep.holds and rep.constant == pytest.approx(3.0, rel=1e-14)
 
 
 def test_domination_slice_unbounded_pair():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rlab import (DEFAULT_GRID, MeasureDensity, SpaceSpec, average, characteristic, eps_grid,
                   eps_profile, grand_lambda_norm, grand_lebesgue_norm,
-                  grand_lorentz_pq_norm, grand_lorentz_slice_values, lambda_norm,
+                  grand_lorentz_pq_norm, grand_lorentz_slice_values,
                   lorentz_pq_norm, lorentz_pq_star_norm, make_step, norm_value,
                   rearrangement, space_norm, spacespec_from_json)
 from rlab.norms import EpsSupResult, _terms
@@ -110,6 +110,22 @@ def test_star_norm_overflow_raises_instead_of_inf():
         warnings.simplefilter("error")  # no RuntimeWarning may escape either
         with pytest.raises(OverflowError):
             lorentz_pq_star_norm(f, 2.0, 2.0)
+
+
+_HUGE = make_step([0.0, 1.0], [1e308])
+
+
+@pytest.mark.parametrize("spec", [
+    # under a density of 4, f* runs to 4: rescaling it to (0, 1) overflowed
+    SpaceSpec("lorentz_pq", 0.5, 2.0, measure=MeasureDensity(make_step([0.0, 1.0], [4.0]))),
+    SpaceSpec("lambda_classical", 2.0, weight=PowerWeight(0.0, 1e10)),  # 1e5 * 1e308
+    SpaceSpec("grand_lorentz_pq", 2.0, 3.0),  # the sup is about 2e308
+], ids=["lorentz_pq-mass-4", "lambda_classical", "grand_lorentz_pq"])
+def test_norm_past_the_float_range_raises_instead_of_inf(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError):
+            space_norm(_HUGE, spec)
 
 
 @pytest.mark.parametrize("bk,levels,p,q", [
@@ -226,8 +242,9 @@ def test_space_norm_dispatch_matches_direct_calls_per_kind(kind, mu, w):
         "grand_lebesgue": (dict(p=2.0), lambda: grand_lebesgue_norm(f, 2.0)),
         "grand_lorentz_pq": (dict(p=2.0, q=1.5, measure=mu),
                              lambda: grand_lorentz_pq_norm(f, 2.0, 1.5, mu)),
-        "lambda_classical": (dict(p=2.0, weight=w, measure=mu),
-                             lambda: lambda_norm(f, 2.0, w, mu)),
+        "lambda_classical": (dict(p=2.0, weight=w, measure=mu),  # no wrapper: norm_value
+                             lambda: norm_value(f, SpaceSpec("lambda_classical", 2.0, weight=w,
+                                                             measure=mu))),
         "lambda_grand": (dict(p=2.5, weight=w, measure=mu),
                          lambda: grand_lambda_norm(f, 2.5, w, mu)),
     }[kind]
@@ -363,12 +380,10 @@ def test_eps_sup_result_profile_and_json():
     assert res.value >= np.max(res.slice_values) - 1e-15
     assert res.endpoint_limit is None  # interior maximizer for this profile
     assert 0 < res.eps_star < 1.0
-    pairs = res.profile
-    assert pairs[0] == (res.eps[0], res.slice_values[0])
+    # to_json is the bracket `rlab norm --out` writes, without the profile
     blob = json.loads(json.dumps(res.to_json()))
-    assert blob["value"] == res.value
-    assert blob["eps_star"] == res.eps_star
-    assert len(blob["profile"]) == res.eps.size
+    assert list(blob) == ["value", "upper", "evals", "eps_star", "endpoint_limit"]
+    assert (blob["value"], blob["eps_star"]) == (res.value, res.eps_star)
 
 
 def test_eps_profile_requires_grand_kind():
@@ -598,7 +613,8 @@ def test_plain_norms_of_tiny_levels_are_never_zero(log_levels, p, q, alpha, dens
     bk = np.linspace(0.0, 1.0, len(log_levels) + 1)
     f = make_step(bk, 10.0 ** np.array(log_levels))
     mu = MeasureDensity(make_step([0.0, 0.5, 1.0], [0.01, 1.0])) if dense else None
-    for value in (lorentz_pq_norm(f, p, q, mu), lambda_norm(f, q, PowerWeight(alpha), mu)):
+    for value in (lorentz_pq_norm(f, p, q, mu),
+                  space_norm(f, SpaceSpec("lambda_classical", q, weight=PowerWeight(alpha), measure=mu))):
         assert 0.0 < value < math.inf
 
 
@@ -612,7 +628,7 @@ def test_lambda_norm_extreme_levels_match_mpmath():
         (step_w, 2.0, levels, [w * (b - a) for w, a, b in zip([3, 1, 2], bk[:-1], bk[1:])]),
     ]
     for weight, p, vals, bases in cases:
-        got = lambda_norm(make_step(bk, vals), p, weight)
+        got = space_norm(make_step(bk, vals), SpaceSpec("lambda_classical", p, weight=weight))
         want = _mp_power_sum(vals, bases, p)
         assert math.isfinite(got) and got > 0.0
         assert got == pytest.approx(float(want), rel=1e-13)
@@ -631,8 +647,8 @@ def test_exact_norms_are_homogeneous(log_levels, widths, log_c, p, q):
     c = 10.0 ** log_c
     f, g = make_step(bk, vals), make_step(bk, c * vals)
     assert lorentz_pq_norm(g, p, q) == pytest.approx(c * lorentz_pq_norm(f, p, q), rel=1e-12, abs=0.0)
-    w = PowerWeight(0.5)
-    assert lambda_norm(g, p, w) == pytest.approx(c * lambda_norm(f, p, w), rel=1e-12, abs=0.0)
+    lam = SpaceSpec("lambda_classical", p, weight=PowerWeight(0.5))
+    assert space_norm(g, lam) == pytest.approx(c * space_norm(f, lam), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", [SpaceSpec("grand_lebesgue", 3.0),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlab import (LEBESGUE, MeasureDensity, StepFunction, average, characteristic,
-                  distribution, make_step, measure_gap, rearrangement)
+                  distribution, make_step, rearrangement)
 from rlab.stepfn import merge_segment_grids
 
 from oracles import bisection_rearrangement, brute_distribution
@@ -167,14 +167,6 @@ def test_average_is_exact_running_mean():
     fss = average(rearrangement(f))
     # int_0^t f* for t=0.75: 4*0.5 + 2*0.25 = 2.5
     assert fss(0.75) == pytest.approx(2.5 / 0.75, rel=1e-15)
-
-
-def test_measure_gap_positive_levels_only():
-    f = make_step([0.0, 0.5, 1.0], [2.0, 1.0])
-    fs = rearrangement(f)
-    assert measure_gap(fs, f, 1.5) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        measure_gap(fs, f, 0.0)
 
 
 def test_scaling_equivariance():

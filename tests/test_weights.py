@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from rlab import (MeasureDensity, PowerWeight, make_step, weight_from_json,
-                  weight_to_json)
+from rlab import MeasureDensity, PowerWeight, make_step, weight_from_json
 from rlab.weights import _as_weight, segment_weight_integrals
 
 
@@ -98,7 +97,7 @@ def test_primitive_matches_segment_sums():
         assert np.allclose(np.diff(w.primitive(bk)), segment_weight_integrals(w, bk),
                            rtol=1e-12)
     # step weights share one primitive: its differences are the segment
-    # integrals and the interval masses, exactly
+    # integrals, exactly
     for _ in range(20):
         n = int(rng.integers(1, 8))
         dens = make_step(np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0])),
@@ -109,14 +108,11 @@ def test_primitive_matches_segment_sums():
         for w in (dens, mu):
             assert np.array_equal(np.diff(w.primitive(bk)), steps)
             assert np.array_equal(segment_weight_integrals(w, bk), steps)
-        assert np.array_equal([mu.interval_mass(a, b) for a, b in zip(bk[:-1], bk[1:])], steps)
 
 
 def test_weight_json_power_round_trip():
     w = PowerWeight(alpha=0.5, coeff=2.0)
-    obj = weight_to_json(w)
-    assert obj == {"power_weight": {"alpha": 0.5, "coeff": 2.0}}
-    assert weight_from_json(obj) == w
+    assert weight_from_json({"power_weight": {"alpha": 0.5, "coeff": 2.0}}) == w
     # coeff defaults to 1 when omitted
     parsed = weight_from_json({"power_weight": {"alpha": 1.0}})
     assert parsed == PowerWeight(alpha=1.0, coeff=1.0)
@@ -124,9 +120,7 @@ def test_weight_json_power_round_trip():
 
 def test_weight_json_step_forms():
     dens = make_step([0.0, 0.5, 1.0], [2.0, 1.0])
-    obj = weight_to_json(dens)
-    assert obj["breakpoints"] == [0.0, 0.5, 1.0]
-    back = weight_from_json(obj)
+    back = weight_from_json({"breakpoints": [0.0, 0.5, 1.0], "values": [2.0, 1.0]})
     assert isinstance(back, MeasureDensity)
     assert np.array_equal(back.density.values, dens.values)
     via_density = weight_from_json(
